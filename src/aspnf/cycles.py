@@ -13,6 +13,13 @@ determined by the target atom: every intermediate atom must have
 exactly one defining rule and occur in exactly one rule body.
 Chains that violate the side conditions are left unclassified rather
 than being eliminated unsoundly.
+
+Cycles are enumerated without recursion: Tarjan's algorithm splits the
+graph of cycle steps into strongly connected components, and Johnson's
+algorithm lists the elementary circuits through the least atom of a
+component before that atom is removed and the rest is split again.
+What the form checks, rule tags and bridge search read from the cycles
+is gathered once per program into a :class:`StructuralIndex`.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 from .errors import CycleCapExceededError
 from .model import Literal, Program, Rule, neg
@@ -67,20 +76,22 @@ class Cycle:
     def is_even(self) -> bool:
         return self.size % 2 == 0
 
+    @cached_property
+    def _handles(self) -> tuple[tuple[Literal, ...], ...]:
+        steps = self.atoms[1:] + self.atoms[:1]
+        return tuple(
+            tuple(lit for lit in rule.body if lit.atom != step or not lit.negated)
+            for rule, step in zip(self.rules, steps)
+        )
+
     def handle(self, i: int) -> tuple[Literal, ...]:
         """AND handle at position ``i`` (possibly empty)."""
-        step = neg(self.atoms[(i + 1) % self.size])
-        return tuple(lit for lit in self.rules[i].body if lit != step)
+        return self._handles[i]
 
-    @property
+    @cached_property
     def and_handles(self) -> tuple[tuple[int, tuple[Literal, ...]], ...]:
         """Positions with a non-empty AND handle."""
-        out = []
-        for i in range(self.size):
-            delta = self.handle(i)
-            if delta:
-                out.append((i, delta))
-        return tuple(out)
+        return tuple((i, delta) for i, delta in enumerate(self._handles) if delta)
 
 
 @dataclass(frozen=True)
@@ -156,11 +167,6 @@ def find_cycles(
             if any(o.atom == rule.head for o in rule.body if o != lit):
                 continue
             witnesses[rule.head, lit.atom].append(rule)
-    adjacency: dict[str, list[str]] = defaultdict(list)
-    for source, target in witnesses:
-        adjacency[source].append(target)
-    for neighbors in adjacency.values():
-        neighbors.sort()
 
     cycles: list[Cycle] = []
 
@@ -176,21 +182,161 @@ def find_cycles(
                 )
             cycles.append(Cycle(tuple(atom_cycle), tuple(combo)))
 
-    def extend(start: str, path: list[str], on_path: set[str]) -> None:
-        for successor in adjacency.get(path[-1], ()):
-            if successor == start:
-                emit(path)
-            elif successor > start and successor not in on_path:
-                path.append(successor)
-                on_path.add(successor)
-                extend(start, path, on_path)
-                path.pop()
-                on_path.remove(successor)
-
-    for start in sorted(program.atoms):
-        extend(start, [start], {start})
+    successors: dict[str, list[str]] = defaultdict(list)
+    for source, target in witnesses:
+        if source == target:
+            emit([source])
+        else:
+            successors[source].append(target)
+    # Every longer cycle lies in one component; it is found from the
+    # component's least atom if it passes through it, and otherwise in
+    # a component of what is left once that atom is removed.
+    pending = _components(list(successors), successors)
+    while pending:
+        component = pending.pop()
+        start = min(component)
+        for atom_cycle in _circuits(start, set(component), successors):
+            emit(atom_cycle)
+        pending.extend(
+            _components([a for a in component if a != start], successors)
+        )
     cycles.sort(key=lambda c: (c.size, c.atoms))
     return tuple(cycles)
+
+
+def _components(
+    atoms: list[str], successors: dict[str, list[str]]
+) -> list[list[str]]:
+    """Strongly connected components with more than one atom of the
+    subgraph induced by ``atoms`` (Tarjan's algorithm, iteratively)."""
+    inside = set(atoms)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    found: list[list[str]] = []
+    for root in atoms:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors.get(root, ())))]
+        while work:
+            atom, unexplored = work[-1]
+            for successor in unexplored:
+                if successor not in inside:
+                    continue
+                if successor not in index:
+                    index[successor] = low[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(successors.get(successor, ()))))
+                    break
+                if successor in on_stack:
+                    low[atom] = min(low[atom], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[atom])
+                if low[atom] == index[atom]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.remove(member)
+                        component.append(member)
+                        if member == atom:
+                            break
+                    if len(component) > 1:
+                        found.append(component)
+    return found
+
+
+def _circuits(
+    start: str, component: set[str], successors: dict[str, list[str]]
+) -> Iterator[list[str]]:
+    """Elementary circuits through ``start`` inside ``component``, each
+    as its atoms from ``start`` on (Johnson's algorithm, iteratively).
+
+    An atom stays blocked after a fruitless visit until some circuit
+    passes through an atom it leads to, so no dead end is walked twice.
+    """
+    blocked = {start}
+    blockers: defaultdict[str, set[str]] = defaultdict(set)
+    path = [start]
+    closed = [False]  # closed[i]: a circuit was found beyond path[i]
+    work = [iter(successors[start])]
+    while work:
+        for successor in work[-1]:
+            if successor == start:
+                yield list(path)
+                closed[-1] = True
+            elif successor in component and successor not in blocked:
+                blocked.add(successor)
+                path.append(successor)
+                closed.append(False)
+                work.append(iter(successors.get(successor, ())))
+                break
+        else:
+            work.pop()
+            atom = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = [atom]
+                while unblock:
+                    freed = unblock.pop()
+                    if freed in blocked:
+                        blocked.remove(freed)
+                        unblock.extend(blockers.pop(freed, ()))
+            else:
+                for successor in successors.get(atom, ()):
+                    if successor in component:
+                        blockers[successor].add(atom)
+
+
+class StructuralIndex:
+    """Cycle membership and auxiliary rules of a program, gathered once
+    from one :func:`find_cycles` result.
+
+    ``cycles_through`` maps each atom to the cycles containing it, in
+    the order of ``cycles``; ``auxiliary`` maps each head to its
+    auxiliary rules, in program order.
+    """
+
+    def __init__(self, program: Program, cycles: tuple[Cycle, ...]) -> None:
+        self.cycles = cycles
+        through: dict[str, list[Cycle]] = defaultdict(list)
+        for cycle in cycles:
+            for atom in cycle.atoms:
+                through[atom].append(cycle)
+        self.cycles_through = {atom: tuple(found) for atom, found in through.items()}
+        self.in_cycle_atoms = frozenset(through)
+        self.in_cycle_rules = frozenset(rule for c in cycles for rule in c.rules)
+        auxiliary: dict[str, list[Rule]] = defaultdict(list)
+        self._rank: dict[Rule, int] = {}
+        for rule in program.rules:
+            if rule.head not in through or rule in self.in_cycle_rules:
+                continue
+            if not rule.body or any(lit.atom == rule.head for lit in rule.body):
+                continue
+            auxiliary[rule.head].append(rule)
+            self._rank[rule] = len(self._rank)
+        self.auxiliary = {head: tuple(rules) for head, rules in auxiliary.items()}
+
+    def is_auxiliary(self, rule: Rule) -> bool:
+        return rule in self._rank
+
+    def or_handles(self, cycle: Cycle) -> tuple[OrHandle, ...]:
+        """Auxiliary rules of ``cycle``, in program order."""
+        rules = [
+            rule for atom in cycle.atoms for rule in self.auxiliary.get(atom, ())
+        ]
+        rules.sort(key=self._rank.__getitem__)
+        return tuple(
+            OrHandle(cycle=cycle, target=rule.head, rule=rule) for rule in rules
+        )
 
 
 def find_or_handles(
@@ -202,15 +348,7 @@ def find_or_handles(
     ``find_cycles`` result."""
     if cycles is None:
         cycles = find_cycles(program)
-    in_cycle_rules = {rule for c in cycles for rule in c.rules}
-    found = []
-    for rule in program.rules:
-        if rule.head not in cycle.atoms or rule in in_cycle_rules:
-            continue
-        if not rule.body or any(lit.atom == rule.head for lit in rule.body):
-            continue
-        found.append(OrHandle(cycle=cycle, target=rule.head, rule=rule))
-    return tuple(found)
+    return StructuralIndex(program, cycles).or_handles(cycle)
 
 
 def find_bridges(
@@ -222,9 +360,11 @@ def find_bridges(
     ordered by (anchor atom, target atom, chain atoms)."""
     if cycles is None:
         cycles = find_cycles(program, max_cycles)
-    in_cycle_atoms: set[str] = set()
-    for c in cycles:
-        in_cycle_atoms.update(c.atoms)
+    return _bridges(program, StructuralIndex(program, cycles))
+
+
+def _bridges(program: Program, index: StructuralIndex) -> tuple[Bridge, ...]:
+    in_cycle_atoms = index.in_cycle_atoms
     defining: dict[str, list[Rule]] = defaultdict(list)
     body_count: Counter[str] = Counter()
     for rule in program.rules:
@@ -260,7 +400,8 @@ def find_bridges(
         if hit is None:
             return
         chain, target = hit
-        if not any(target in c.atoms and c != cycle for c in cycles):
+        # the target must lie in some cycle other than the anchor's
+        if all(c is cycle for c in index.cycles_through[target]):
             return
         key = (kind, anchor_rule, chain)
         if key in seen_keys:
@@ -270,15 +411,16 @@ def find_bridges(
             Bridge(kind, cycle, anchor_rule.head, anchor_rule, chain, target)
         )
 
-    for cycle in cycles:
-        for or_handle in find_or_handles(program, cycle, cycles):
-            body = or_handle.rule.body
-            if (
-                len(body) == 1
-                and body[0].negated
-                and body[0].atom not in in_cycle_atoms
-            ):
-                consider(OR_BRIDGE, cycle, or_handle.rule, body[0].atom)
+    for cycle in index.cycles:
+        for atom in cycle.atoms:
+            for rule in index.auxiliary.get(atom, ()):
+                body = rule.body
+                if (
+                    len(body) == 1
+                    and body[0].negated
+                    and body[0].atom not in in_cycle_atoms
+                ):
+                    consider(OR_BRIDGE, cycle, rule, body[0].atom)
         for i, delta in cycle.and_handles:
             if (
                 len(delta) == 1
@@ -295,20 +437,16 @@ def classify_rules(
     program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
 ) -> RuleClassification:
     """Tag every rule: in-cycle, auxiliary, bridge-step, or unclassified."""
-    cycles = find_cycles(program, max_cycles)
-    in_cycle = {rule for c in cycles for rule in c.rules}
-    auxiliary = {
-        oh.rule for c in cycles for oh in find_or_handles(program, c, cycles)
-    }
+    index = StructuralIndex(program, find_cycles(program, max_cycles))
     bridge_steps = {
-        rule for bridge in find_bridges(program, cycles) for rule in bridge.chain
+        rule for bridge in _bridges(program, index) for rule in bridge.chain
     }
     tags: dict[Rule, frozenset[str]] = {}
     for rule in program.rules:
         assigned = set()
-        if rule in in_cycle:
+        if rule in index.in_cycle_rules:
             assigned.add(TAG_IN_CYCLE)
-        if rule in auxiliary:
+        if index.is_auxiliary(rule):
             assigned.add(TAG_AUXILIARY)
         if rule in bridge_steps:
             assigned.add(TAG_BRIDGE_STEP)
@@ -320,9 +458,9 @@ def classify_rules(
 
 def analysis_to_dict(program: Program, max_cycles: int = DEFAULT_MAX_CYCLES) -> dict:
     """Cycle/handle/bridge report as a JSON-serializable document."""
-    cycles = find_cycles(program, max_cycles)
+    index = StructuralIndex(program, find_cycles(program, max_cycles))
     report: dict = {"cycles": [], "bridges": []}
-    for cycle in cycles:
+    for cycle in index.cycles:
         report["cycles"].append(
             {
                 "kind": "cycle",
@@ -343,12 +481,12 @@ def analysis_to_dict(program: Program, max_cycles: int = DEFAULT_MAX_CYCLES) -> 
                         "atom": oh.target,
                         "literals": [str(lit) for lit in oh.handle],
                     }
-                    for oh in find_or_handles(program, cycle, cycles)
+                    for oh in index.or_handles(cycle)
                 ],
                 "rules": [str(rule) for rule in cycle.rules],
             }
         )
-    for bridge in find_bridges(program, cycles):
+    for bridge in _bridges(program, index):
         report["bridges"].append(
             {
                 "kind": "or-bridge" if bridge.kind == OR_BRIDGE else "and-bridge",

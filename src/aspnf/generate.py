@@ -3,8 +3,7 @@
 The 3-colorability encoder emits, per node, three mutual-exclusion
 color rules and three recording rules, and per edge the two rules that
 force ``edge_ok`` plus three ``edge_ko`` rules detecting a monochrome
-edge. The output is in kernel normal form for every input graph, and
-its answer sets correspond one-to-one with proper 3-colorings.
+edge. Its answer sets correspond one-to-one with proper 3-colorings.
 """
 
 from __future__ import annotations
@@ -53,8 +52,12 @@ def _n_color(v: int, c: str) -> str:
 
 
 def encode_3col(g: UndirectedGraph) -> Program:
-    """Kernel program solving 3-colorability of ``g``.
+    """Purely negative, WFS-irreducible program solving 3-colorability
+    of ``g``.
 
+    It is in kernel form exactly when every node has an edge: the
+    ``n_color`` atoms of an isolated node occur in no rule body, so
+    ``check_kernel`` reports them under ``every-atom-in-some-body``.
     Size is ``6 * len(nodes) + 5 * len(edges)`` rules.
     """
     rules: list[Rule] = []

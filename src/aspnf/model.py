@@ -94,9 +94,6 @@ class Program:
             collected.update(rule.body_atoms)
         return frozenset(collected)
 
-    def rules_for(self, atom: str) -> tuple[Rule, ...]:
-        return tuple(rule for rule in self.rules if rule.head == atom)
-
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
 

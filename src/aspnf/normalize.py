@@ -24,17 +24,19 @@ language.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cycles import (
     AND_BRIDGE,
     DEFAULT_MAX_CYCLES,
     OR_BRIDGE,
     Bridge,
+    StructuralIndex,
     find_bridges,
     find_cycles,
-    find_or_handles,
 )
 from .errors import BridgeNotFoundError, KernelFormError, ReconstructionError
 from .kernel import check_kernel
@@ -80,31 +82,22 @@ def check_3kernel(
     program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
 ) -> ThreeKernelReport:
     """Check all six 3-kernel conditions, reporting every violation."""
-    cycles = find_cycles(program, max_cycles)
-    in_cycle_atoms: set[str] = set()
-    for cycle in cycles:
-        in_cycle_atoms.update(cycle.atoms)
-    in_cycle_rules = {rule for cycle in cycles for rule in cycle.rules}
-    auxiliary = {
-        oh.rule
-        for cycle in cycles
-        for oh in find_or_handles(program, cycle, cycles)
-    }
+    index = StructuralIndex(program, find_cycles(program, max_cycles))
 
     violations: list[ThreeKernelViolation] = []
     wfs = well_founded(program)
     for atom in sorted(wfs.true_atoms | wfs.false_atoms):
         violations.append(ThreeKernelViolation(1, atom))
-    for atom in sorted(program.atoms - in_cycle_atoms):
+    for atom in sorted(program.atoms - index.in_cycle_atoms):
         violations.append(ThreeKernelViolation(2, atom))
     for rule in program.rules:
-        if rule not in in_cycle_rules and rule not in auxiliary:
+        if rule not in index.in_cycle_rules and not index.is_auxiliary(rule):
             violations.append(ThreeKernelViolation(3, rule))
     for rule in program.rules:
-        if rule in in_cycle_rules and len(rule.body) > 2:
+        if rule in index.in_cycle_rules and len(rule.body) > 2:
             violations.append(ThreeKernelViolation(4, rule))
     flagged: set[tuple[Rule, str]] = set()
-    for cycle in cycles:
+    for cycle in index.cycles:
         for i, delta in cycle.and_handles:
             for lit in delta:
                 key = (cycle.rules[i], lit.atom)
@@ -112,7 +105,7 @@ def check_3kernel(
                     flagged.add(key)
                     violations.append(ThreeKernelViolation(5, cycle.rules[i]))
     for rule in program.rules:
-        if rule in auxiliary and len(rule.body) != 1:
+        if index.is_auxiliary(rule) and len(rule.body) != 1:
             violations.append(ThreeKernelViolation(6, rule))
     return ThreeKernelReport(tuple(violations))
 
@@ -145,6 +138,17 @@ class TransformStep:
 class TransformTrace:
     steps: tuple[TransformStep, ...] = ()
     surviving_atoms: frozenset[str] = field(default_factory=frozenset)
+
+
+_FRESH_NAME = re.compile(r"__[hg](\d+)_\d+")
+
+
+def _fresh_tags(atoms: Iterable[str]) -> Iterator[int]:
+    """Tags ``k`` for the fresh atoms ``__h{k}_i`` and ``__g{k}_i``, in
+    increasing order, skipping every ``k`` that some atom of ``atoms``
+    already carries under either prefix."""
+    taken = {match[1] for match in map(_FRESH_NAME.fullmatch, atoms) if match}
+    return (k for k in itertools.count() if str(k) not in taken)
 
 
 def _guard_cycle(conditions: list[str], tag: int) -> tuple[list[Rule], list[str]]:
@@ -197,9 +201,10 @@ def long_rule_simplify(
     ``{h, b_1, ..., b_j}``, inconsistent exactly when all of them are
     false. Guard rules are flagged in the trace.
 
-    Fresh atoms are unique per replaced rule. The result is equivalent
-    to the input modulo projection over its atoms. Requires kernel
-    form.
+    Fresh atoms are unique per replaced rule and never reuse an atom of
+    the input, which may itself contain earlier fresh atoms read back
+    with ``allow_reserved``. The result is equivalent to the input
+    modulo projection over its atoms. Requires kernel form.
     """
     report = check_kernel(program)
     if not report.is_kernel:
@@ -207,26 +212,21 @@ def long_rule_simplify(
             "long_rule_simplify requires kernel form; violations: "
             + ", ".join(v.condition for v in report.violations)
         )
-    cycles = find_cycles(program, max_cycles)
-    in_cycle_rules = {rule for cycle in cycles for rule in cycle.rules}
-    auxiliary = {
-        oh.rule
-        for cycle in cycles
-        for oh in find_or_handles(program, cycle, cycles)
-    }
+    index = StructuralIndex(program, find_cycles(program, max_cycles))
+    tags = _fresh_tags(program.atoms)
 
     out: list[Rule] = []
     steps: list[TransformStep] = []
-    counter = 0
     for rule in program.rules:
         j = len(rule.body)
-        long_auxiliary = rule in auxiliary and j > 1
-        long_in_cycle = rule in in_cycle_rules and j > 2
+        long_auxiliary = index.is_auxiliary(rule) and j > 1
+        long_in_cycle = rule in index.in_cycle_rules and j > 2
         if not (long_auxiliary or long_in_cycle):
             out.append(rule)
             continue
+        tag = next(tags)
         conditions = [lit.atom for lit in rule.body]  # all negative in kernel form
-        fresh = [f"__h{counter}_{i}" for i in range(1, 2 * j + 2)]
+        fresh = [f"__h{tag}_{i}" for i in range(1, 2 * j + 2)]
         added = [Rule(rule.head, (neg(fresh[0]),))]
         for i, condition in enumerate(conditions, start=1):
             added.append(Rule(fresh[2 * i - 2], (neg(fresh[2 * i - 1]),)))
@@ -238,11 +238,10 @@ def long_rule_simplify(
         if Rule(rule.head, (neg(rule.head),)) not in program.rules:
             guard_conditions = [rule.head]
             guard_conditions += [b for b in conditions if b != rule.head]
-            guard_rules, guard_atoms = _guard_cycle(guard_conditions, counter)
+            guard_rules, guard_atoms = _guard_cycle(guard_conditions, tag)
             added.extend(guard_rules)
             fresh.extend(guard_atoms)
             notes.append(NOTE_CONSTRAINT_GUARD)
-        counter += 1
         out.extend(added)
         steps.append(
             TransformStep(

@@ -114,6 +114,16 @@ def test_antichain2kernel(tmp_path, capsys):
     assert out.strip().endswith("__bot :- not __bot, not __m.")
 
 
+def test_3kernel_check_long_even_cycle(tmp_path, capsys):
+    n = 1500
+    path = tmp_path / "ring.lp"
+    path.write_text("".join(f"a_{i} :- not a_{(i + 1) % n}.\n" for i in range(n)))
+    assert main(["3kernel-check", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "3-kernel form: yes\n"
+    assert captured.err == ""
+
+
 def test_3kernelize_with_trace(tmp_path, capsys):
     source = tmp_path / "case2.lp"
     source.write_text(CASE_II_TEXT)

@@ -1,4 +1,8 @@
+import itertools
 import json
+import math
+import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -16,8 +20,10 @@ from aspnf import (
     find_bridges,
     find_cycles,
     find_or_handles,
+    long_rule_simplify,
     neg,
     parse_program,
+    random_kernel_program,
 )
 
 
@@ -84,6 +90,62 @@ def test_cycle_cap():
     )
     with pytest.raises(CycleCapExceededError):
         find_cycles(program, max_cycles=5)
+
+
+def test_find_cycles_long_cycle_without_recursion():
+    n = 3000
+    program = parse_program(
+        "".join(f"a{i} :- not a{(i + 1) % n}.\n" for i in range(n))
+    )
+    (cycle,) = find_cycles(program)
+    assert cycle.size == n and cycle.is_even
+    assert cycle.atoms[:3] == ("a0", "a1", "a2")
+
+
+def _witness_steps(program):
+    """Rules witnessing each step h -> b of a cycle, in program order."""
+    steps = defaultdict(list)
+    for rule in program.rules:
+        for lit in rule.body:
+            rest = [o for o in rule.body if o != lit]
+            if lit.negated and all(o.atom != rule.head for o in rest):
+                steps[rule.head, lit.atom].append(rule)
+    return steps
+
+
+def test_find_cycles_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    for _ in range(40):
+        n_atoms = rng.randint(2, 8)
+        program = random_kernel_program(
+            n_atoms,
+            rng.randint(n_atoms, 2 * n_atoms),
+            max_body=rng.randint(2, 4),
+            seed=rng.randrange(10**6),
+        )
+        for candidate in (program, long_rule_simplify(program)[0]):
+            steps = _witness_steps(candidate)
+            options = {}
+            for atoms in nx.simple_cycles(nx.DiGraph(list(steps))):
+                least = atoms.index(min(atoms))
+                atoms = tuple(atoms[least:] + atoms[:least])
+                options[atoms] = [
+                    steps[a, atoms[(i + 1) % len(atoms)]] for i, a in enumerate(atoms)
+                ]
+            total = sum(math.prod(map(len, o)) for o in options.values())
+            cycles = find_cycles(candidate, max_cycles=total)
+            assert Counter(c.atoms for c in cycles) == {
+                atoms: math.prod(map(len, o)) for atoms, o in options.items()
+            }
+            for atoms, o in options.items():
+                witnessed = [c.rules for c in cycles if c.atoms == atoms]
+                assert witnessed == list(itertools.product(*o))
+            keys = [(c.size, c.atoms) for c in cycles]
+            assert keys == sorted(keys)
+            if total:
+                with pytest.raises(CycleCapExceededError):
+                    find_cycles(candidate, max_cycles=total - 1)
 
 
 def test_find_or_handles_pi6(pi6):

@@ -79,14 +79,17 @@ def test_encode_output_is_kernel():
 def test_encode_isolated_node_not_fully_kernel():
     # with no incident edge the n_color atoms occur in no rule body, so
     # only the weaker invariants hold for isolated nodes
-    program = encode_3col(graph([0], []))
-    assert is_purely_negative(program)
-    assert is_wfs_irreducible(program)
-    report = check_kernel(program)
-    assert {v.condition for v in report.violations} == {"every-atom-in-some-body"}
-    assert {v.witness for v in report.violations} == {
-        f"n_color(0,{c})" for c in COLORS
-    }
+    for g, isolated in ((graph([0], []), 0), (graph([0, 1, 2], [(0, 2)]), 1)):
+        program = encode_3col(g)
+        assert is_purely_negative(program)
+        assert is_wfs_irreducible(program)
+        report = check_kernel(program)
+        assert {v.condition for v in report.violations} == {
+            "every-atom-in-some-body"
+        }
+        assert {v.witness for v in report.violations} == {
+            f"n_color({isolated},{c})" for c in COLORS
+        }
 
 
 def test_encode_k4_unsatisfiable():

@@ -19,13 +19,14 @@ from aspnf import (
     parse_program,
     random_kernel_program,
     reconstruct,
+    render_program,
     simplify_and_bridge,
     simplify_or_bridge,
     three_kernelize,
     trace_to_dict,
 )
 from aspnf.normalize import NOTE_CONSTRAINT_GUARD, NOTE_REROUTES_CYCLE
-from conftest import oracle_answer_sets, rename_atoms
+from conftest import PI5_TEXT, oracle_answer_sets, rename_atoms
 
 PI5_SIMPLIFIED_TEXT = """
 p :- not p.
@@ -54,6 +55,26 @@ def test_long_rule_simplify_pi5(pi5):
     assert len(step.added) == 6
     assert NOTE_REROUTES_CYCLE not in step.notes
     assert equivalent_mod_projection(pi5, result, pi5.atoms)
+
+
+def test_long_rule_simplify_fresh_names_avoid_input_atoms():
+    # pi5's own 3-kernel output read back with one more long rule
+    # carries __h0_* already; the second program carries the names of
+    # both the chain (__h0_*) and the guard (__g0_*) of its long rule
+    first, _ = three_kernelize(parse_program(PI5_TEXT))
+    reentrant = render_program(first) + "p :- not b, not d.\n"
+    guarded = (
+        "p :- not __h0_1. __h0_1 :- not p. __h0_1 :- not x, not __g0_0.\n"
+        "x :- not __g0_0. __g0_0 :- not x.\n"
+    )
+    for text in (reentrant, guarded):
+        program = parse_program(text, allow_reserved=True)
+        result, trace = long_rule_simplify(program)
+        fresh = {atom for step in trace.steps for atom in step.fresh_atoms}
+        assert fresh and not fresh & program.atoms
+        expected = set(oracle_answer_sets(program))
+        projected = {s & program.atoms for s in oracle_answer_sets(result)}
+        assert expected and projected == expected
 
 
 def test_long_rule_simplify_no_long_rules():
