@@ -17,10 +17,6 @@ class CycleCapExceededError(AspnfError):
     """Cycle enumeration exceeded the configured cycle-count cap."""
 
 
-class NegativeBodyError(AspnfError):
-    """A negation-free program was required but a negative literal occurs."""
-
-
 class KernelFormError(AspnfError):
     """A transformation precondition (kernel form) does not hold."""
 

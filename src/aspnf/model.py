@@ -8,6 +8,7 @@ them, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,12 +19,27 @@ from .errors import ReservedAtomError
 #: Prefix of atoms introduced by transformations; rejected in user input.
 RESERVED_PREFIX = "__"
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_(),]+\Z")
+#: The atom grammar, shared with the parser: a ``NAME``, optionally
+#: followed by ``(ARG, ...)``, which flattens to ``NAME(ARG,...)``.
+NAME = re.compile(r"(?:__)?[a-z][A-Za-z0-9_]*")
+ARG = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+")
+_FLAT_ATOM = re.compile(
+    rf"{NAME.pattern}(?:\((?:{ARG.pattern})(?:,(?:{ARG.pattern}))*\))?"
+)
 
 
 def is_reserved(atom: str) -> bool:
     """True for atoms generated by this package (``__`` prefix)."""
     return atom.startswith(RESERVED_PREFIX)
+
+
+def fresh_tags(atoms: Iterable[str], pattern: re.Pattern[str]) -> Iterator[int]:
+    """Tags ``k`` for fresh atoms, in increasing order, skipping every
+    ``k`` that the first group of ``pattern`` captures from some atom of
+    ``atoms`` (matched whole), so a fresh name never reuses one of
+    them."""
+    taken = {match[1] for match in map(pattern.fullmatch, atoms) if match}
+    return (k for k in itertools.count() if str(k) not in taken)
 
 
 @dataclass(frozen=True, order=True)
@@ -121,7 +137,7 @@ def _check_atom(name: str) -> None:
         raise ReservedAtomError(
             f"atom {name!r} uses the reserved prefix {RESERVED_PREFIX!r}"
         )
-    if not _NAME_RE.match(name):
+    if not _FLAT_ATOM.fullmatch(name):
         raise ValueError(f"malformed atom name: {name!r}")
 
 

@@ -24,10 +24,9 @@ language.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .cycles import (
     AND_BRIDGE,
@@ -40,7 +39,7 @@ from .cycles import (
 )
 from .errors import BridgeNotFoundError, KernelFormError, ReconstructionError
 from .kernel import check_kernel
-from .model import Program, Rule, is_reserved, neg, pos
+from .model import Literal, Program, Rule, fresh_tags, neg, pos
 from .semantics import well_founded
 
 CONDITION_LABELS = {
@@ -136,19 +135,21 @@ class TransformStep:
 
 @dataclass(frozen=True)
 class TransformTrace:
+    """The steps of a rewrite and the universes after it
+    (``surviving_atoms``) and before it (``original_atoms``, which
+    defaults to the surviving universe, as for a trace without steps)."""
+
     steps: tuple[TransformStep, ...] = ()
     surviving_atoms: frozenset[str] = field(default_factory=frozenset)
+    original_atoms: frozenset[str] | None = None
+
+    def __post_init__(self) -> None:
+        if self.original_atoms is None:
+            object.__setattr__(self, "original_atoms", self.surviving_atoms)
 
 
+#: Fresh atoms ``__h{k}_i`` and ``__g{k}_i`` of the long-rule rewrite.
 _FRESH_NAME = re.compile(r"__[hg](\d+)_\d+")
-
-
-def _fresh_tags(atoms: Iterable[str]) -> Iterator[int]:
-    """Tags ``k`` for the fresh atoms ``__h{k}_i`` and ``__g{k}_i``, in
-    increasing order, skipping every ``k`` that some atom of ``atoms``
-    already carries under either prefix."""
-    taken = {match[1] for match in map(_FRESH_NAME.fullmatch, atoms) if match}
-    return (k for k in itertools.count() if str(k) not in taken)
 
 
 def _guard_cycle(conditions: list[str], tag: int) -> tuple[list[Rule], list[str]]:
@@ -213,7 +214,7 @@ def long_rule_simplify(
             + ", ".join(v.condition for v in report.violations)
         )
     index = StructuralIndex(program, find_cycles(program, max_cycles))
-    tags = _fresh_tags(program.atoms)
+    tags = fresh_tags(program.atoms, _FRESH_NAME)
 
     out: list[Rule] = []
     steps: list[TransformStep] = []
@@ -253,7 +254,7 @@ def long_rule_simplify(
             )
         )
     result = Program(tuple(out))
-    return result, TransformTrace(tuple(steps), result.atoms)
+    return result, TransformTrace(tuple(steps), result.atoms, program.atoms)
 
 
 def _chain_formulas(bridge: Bridge) -> tuple[ReconstructionFormula, ...]:
@@ -281,15 +282,18 @@ def _require_bridge(program: Program, bridge: Bridge, kind: str) -> None:
         )
 
 
-def simplify_or_bridge(
-    program: Program, bridge: Bridge
+def _target_literal(bridge: Bridge) -> Literal:
+    """The target as the anchor sees it through the chain: ``not a``
+    for even chains, ``a`` for odd ones."""
+    target = bridge.target_atom
+    return neg(target) if bridge.is_even else pos(target)
+
+
+def _replace_bridge(
+    program: Program, bridge: Bridge, replacement: Rule
 ) -> tuple[Program, TransformTrace]:
-    """Remove an OR bridge: the chain and its auxiliary anchor rule are
-    replaced by a direct handle on the target, ``p :- not a`` for even
-    chains and ``p :- a`` for odd ones."""
-    _require_bridge(program, bridge, OR_BRIDGE)
-    literal = neg(bridge.target_atom) if bridge.is_even else pos(bridge.target_atom)
-    replacement = Rule(bridge.anchor_atom, (literal,))
+    """Delete the bridge chain and put ``replacement`` in place of the
+    anchor rule, recording the chain atoms' reconstruction formulas."""
     removed = (bridge.anchor_rule, *bridge.chain)
     out: list[Rule] = []
     for rule in program.rules:
@@ -297,15 +301,26 @@ def simplify_or_bridge(
             out.append(replacement)
         elif rule not in removed:
             out.append(rule)
-    kind = "or-bridge-even" if bridge.is_even else "or-bridge-odd"
+    parity = "even" if bridge.is_even else "odd"
     result = Program(tuple(out))
     step = TransformStep(
-        kind=kind,
+        kind=f"{bridge.kind.lower()}-bridge-{parity}",
         removed=removed,
         added=(replacement,),
         dropped=_chain_formulas(bridge),
     )
-    return result, TransformTrace((step,), result.atoms)
+    return result, TransformTrace((step,), result.atoms, program.atoms)
+
+
+def simplify_or_bridge(
+    program: Program, bridge: Bridge
+) -> tuple[Program, TransformTrace]:
+    """Remove an OR bridge: the chain and its auxiliary anchor rule are
+    replaced by a direct handle on the target, ``p :- not a`` for even
+    chains and ``p :- a`` for odd ones."""
+    _require_bridge(program, bridge, OR_BRIDGE)
+    replacement = Rule(bridge.anchor_atom, (_target_literal(bridge),))
+    return _replace_bridge(program, bridge, replacement)
 
 
 def simplify_and_bridge(
@@ -316,27 +331,12 @@ def simplify_and_bridge(
     chains and positive ``a`` for odd ones."""
     _require_bridge(program, bridge, AND_BRIDGE)
     first = neg(bridge.chain_atoms[0])
-    literal = neg(bridge.target_atom) if bridge.is_even else pos(bridge.target_atom)
+    literal = _target_literal(bridge)
     replacement = Rule(
         bridge.anchor_rule.head,
         tuple(literal if lit == first else lit for lit in bridge.anchor_rule.body),
     )
-    removed = (bridge.anchor_rule, *bridge.chain)
-    out: list[Rule] = []
-    for rule in program.rules:
-        if rule == bridge.anchor_rule:
-            out.append(replacement)
-        elif rule not in removed:
-            out.append(rule)
-    kind = "and-bridge-even" if bridge.is_even else "and-bridge-odd"
-    result = Program(tuple(out))
-    step = TransformStep(
-        kind=kind,
-        removed=removed,
-        added=(replacement,),
-        dropped=_chain_formulas(bridge),
-    )
-    return result, TransformTrace((step,), result.atoms)
+    return _replace_bridge(program, bridge, replacement)
 
 
 def three_kernelize(
@@ -364,17 +364,18 @@ def three_kernelize(
         )
         result, step_trace = simplify(result, bridge)
         steps.extend(step_trace.steps)
-    return result, TransformTrace(tuple(steps), result.atoms)
+    return result, TransformTrace(tuple(steps), result.atoms, program.atoms)
 
 
 def reconstruct(
     interpretation: Iterable[str], trace: TransformTrace
 ) -> frozenset[str]:
     """Map an answer set of the transformed program back to the
-    original language: drop ``__`` atoms, then re-add each dropped
-    bridge atom according to its reconstruction formula."""
+    original language: keep the atoms of the original universe, then
+    re-add each dropped bridge atom according to its reconstruction
+    formula."""
     s = frozenset(interpretation)
-    result = {atom for atom in s if not is_reserved(atom)}
+    result = set(s & trace.original_atoms)
     for step in trace.steps:
         for formula in step.dropped:
             if formula.source not in s and formula.source not in trace.surviving_atoms:

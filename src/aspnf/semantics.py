@@ -1,19 +1,26 @@
-"""Reference semantics: reduct, answer sets, and the well-founded model.
+"""Answer sets and the well-founded model over one compiled program.
 
 The Gelfond-Lifschitz operator ``gamma(p, s)`` is the least model of the
 reduct of ``p`` with respect to ``s``; ``s`` is an answer set iff
 ``gamma(p, s) == s``. ``gamma`` is antimonotone, so its square is
-monotone, and the well-founded model is its alternating fixpoint.
+monotone, and the well-founded model is its alternating fixpoint (Van
+Gelder, 1993).
+
+There is one gamma, ``_BitProgram.gamma``, over the program compiled to
+bitmasks, and one alternating-fixpoint loop, ``_tighten``, which
+narrows an interval ``[lower, upper]`` of the subset lattice. The
+well-founded model is that loop run from the root interval ``[{}, all
+atoms]``: the limit lower bound is true, atoms outside the limit upper
+bound are false, the rest are undefined.
 
 Interpretations are plain ``frozenset`` values of atom names.
 
-``enumerate_answer_sets`` searches the subset space exhaustively. The
-search keeps per-branch lower/upper bounds and tightens them with the
-same alternating gamma iteration that yields the well-founded model
-(at the root this is exactly the pruning by well-founded true/false
-atoms). Every pruning step is justified by antimonotonicity alone, so
-the search is exact; the test suite cross-checks it against a naive
-no-pruning enumeration.
+``enumerate_answer_sets`` searches the subset space exhaustively,
+running the same tightening at every node, so at the root the search
+prunes exactly the well-founded true/false atoms. Every pruning step is
+justified by antimonotonicity alone, so the search is exact; the test
+suite cross-checks it, and the well-founded model, against independent
+implementations.
 """
 
 from __future__ import annotations
@@ -21,66 +28,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NegativeBodyError, UniverseTooLargeError
-from .model import Program, Rule
+from .errors import UniverseTooLargeError
+from .model import Program
 
 #: Default cap on the enumeration universe (overridable per call).
 DEFAULT_MAX_ATOMS = 24
 
 
-def gl_reduct(program: Program, interpretation: Iterable[str]) -> Program:
-    """The reduct of ``program`` with respect to ``interpretation``.
-
-    Drops every rule with a body literal ``not a`` where ``a`` is in the
-    interpretation, then deletes all remaining negative literals. Atoms
-    outside the program's universe are ignored (they are false).
-    """
-    s = frozenset(interpretation)
-    kept: list[Rule] = []
-    for rule in program.rules:
-        if any(lit.negated and lit.atom in s for lit in rule.body):
-            continue
-        kept.append(Rule(rule.head, tuple(l for l in rule.body if not l.negated)))
-    return Program(tuple(kept))
-
-
-def least_model(program: Program) -> frozenset[str]:
-    """Least Herbrand model of a negation-free program.
-
-    Computed as the fixpoint of the one-step consequence operator;
-    terminates within ``len(program.atoms)`` iterations.
-    """
-    for rule in program.rules:
-        for lit in rule.body:
-            if lit.negated:
-                raise NegativeBodyError(
-                    f"least_model requires a negation-free program, "
-                    f"found {lit} in {rule}"
-                )
-    derived: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in program.rules:
-            if rule.head not in derived and all(
-                lit.atom in derived for lit in rule.body
-            ):
-                derived.add(rule.head)
-                changed = True
-    return frozenset(derived)
-
-
 def gamma(program: Program, atoms: Iterable[str]) -> frozenset[str]:
     """Gelfond-Lifschitz operator: least model of the reduct.
 
+    Atoms outside the program's universe are ignored (they are false).
     Antimonotone: ``s1 <= s2`` implies ``gamma(p, s2) <= gamma(p, s1)``.
     """
-    return least_model(gl_reduct(program, atoms))
+    bp = _BitProgram(program)
+    return bp.to_set(bp.gamma(bp.to_mask(atoms)))
 
 
 def is_answer_set(program: Program, interpretation: Iterable[str]) -> bool:
-    """True iff the interpretation is a fixpoint of gamma."""
-    return gamma(program, interpretation) == frozenset(interpretation)
+    """True iff the interpretation is a fixpoint of gamma; one that
+    mentions atoms outside the program never is."""
+    s = frozenset(interpretation)
+    return s <= program.atoms and gamma(program, s) == s
 
 
 @dataclass(frozen=True)
@@ -93,24 +62,18 @@ class WfsResult:
 
 
 def well_founded(program: Program) -> WfsResult:
-    """Well-founded model via the alternating fixpoint of gamma.
+    """Well-founded model: the alternating fixpoint of gamma from the
+    root interval, i.e. the search's root tightening.
 
-    Starting from the full universe as upper bound, iterate
-    ``lower = gamma(p, upper); upper = gamma(p, lower)`` until stable.
-    The limit lower set is true, atoms outside the limit upper set are
-    false, the rest are undefined. Every answer set contains all true
-    atoms and avoids all false ones.
+    Every answer set contains all true atoms and avoids all false ones.
     """
-    universe = program.atoms
-    lower: frozenset[str] = frozenset()
-    upper = universe
-    while True:
-        next_lower = gamma(program, upper)
-        next_upper = gamma(program, next_lower)
-        if next_lower == lower and next_upper == upper:
-            break
-        lower, upper = next_lower, next_upper
-    return WfsResult(lower, universe - upper, upper - lower)
+    bp = _BitProgram(program)
+    bounds = _tighten(bp, 0, bp.full)
+    assert bounds is not None, "the well-founded model is consistent"
+    lower, upper = bounds
+    return WfsResult(
+        bp.to_set(lower), bp.to_set(bp.full & ~upper), bp.to_set(upper & ~lower)
+    )
 
 
 def is_wfs_irreducible(program: Program) -> bool:
@@ -163,7 +126,7 @@ class _BitProgram:
         self.atoms = tuple(
             sorted(program.atoms, key=lambda a: (a.startswith("__"), a))
         )
-        index = {atom: i for i, atom in enumerate(self.atoms)}
+        self.index = index = {atom: i for i, atom in enumerate(self.atoms)}
         self.full = (1 << len(self.atoms)) - 1
         rules = []
         for rule in program.rules:
@@ -198,33 +161,47 @@ class _BitProgram:
                 return derived
             derived = new
 
+    def to_mask(self, atoms: Iterable[str]) -> int:
+        """Bits of the atoms in the universe; other atoms are dropped."""
+        mask = 0
+        for atom in atoms:
+            if atom in self.index:
+                mask |= 1 << self.index[atom]
+        return mask
+
     def to_set(self, mask: int) -> frozenset[str]:
         return frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
 
 
+def _tighten(bp: _BitProgram, lower: int, upper: int) -> tuple[int, int] | None:
+    """Narrow ``[lower, upper]`` by the alternating fixpoint of gamma;
+    None when the interval holds no answer set.
+
+    Sound by antimonotonicity: any answer set S in the interval
+    satisfies gamma(upper) <= S (since S <= upper) and S <= gamma(lower)
+    (since lower <= S).
+    """
+    while True:
+        tightened_lower = lower | bp.gamma(upper)
+        if tightened_lower & ~upper:
+            return None
+        tightened_upper = upper & bp.gamma(tightened_lower)
+        if tightened_lower & ~tightened_upper:
+            return None
+        if tightened_lower == lower and tightened_upper == upper:
+            return lower, upper
+        lower, upper = tightened_lower, tightened_upper
+
+
 def _search(bp: _BitProgram, found: list[int]) -> None:
     # Bound-and-branch over [lower, upper] intervals of the subset
-    # lattice. Tightening is sound by antimonotonicity: any answer set
-    # S in the interval satisfies gamma(upper) <= S (since S <= upper)
-    # and S <= gamma(lower') (since lower' <= S).
+    # lattice, tightened at every node.
     pending = [(0, bp.full)]
     while pending:
-        lower, upper = pending.pop()
-        dead = False
-        while True:
-            tightened_lower = lower | bp.gamma(upper)
-            if tightened_lower & ~upper:
-                dead = True
-                break
-            tightened_upper = upper & bp.gamma(tightened_lower)
-            if tightened_lower & ~tightened_upper:
-                dead = True
-                break
-            if tightened_lower == lower and tightened_upper == upper:
-                break
-            lower, upper = tightened_lower, tightened_upper
-        if dead:
+        bounds = _tighten(bp, *pending.pop())
+        if bounds is None:
             continue
+        lower, upper = bounds
         if lower == upper:
             if bp.gamma(lower) == lower:
                 found.append(lower)

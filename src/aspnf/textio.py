@@ -12,6 +12,9 @@ Grammar::
     NAME    : [a-z][A-Za-z0-9_]*         (a "__" prefix marks reserved atoms)
     arg     : [a-z][A-Za-z0-9_]* | [0-9]+
 
+``NAME`` and ``arg`` are ``model.NAME`` and ``model.ARG``, the atom
+grammar that ``build_program`` also enforces.
+
 ``%`` starts a comment running to the end of the line and whitespace is
 insignificant. Predicate-style atoms are flattened to a single name,
 e.g. ``color(0, red)`` becomes the atom ``color(0,red)``. ``not`` is a
@@ -19,7 +22,8 @@ keyword and cannot be used as an atom name.
 
 A headless rule ``:- BODY.`` is accepted as shorthand for the two-rule
 constraint idiom: it parses to ``__c_k :- not __c_k, BODY.`` with a
-fresh guard atom ``__c_k``.
+fresh guard atom ``__c_k``. Constraints are numbered in input order,
+skipping every ``k`` for which the input already has an atom ``__c_k``.
 
 Reserved ``__`` atoms are rejected in input by default; pass
 ``allow_reserved=True`` to re-read programs produced by the
@@ -33,16 +37,19 @@ from dataclasses import dataclass
 
 from .errors import AspnfError, ReservedAtomError
 from .model import (
+    ARG,
+    NAME,
     Program,
     Rule,
     build_dependency_graph,
+    fresh_tags,
     is_reserved,
     neg,
     pos,
 )
 
-_NAME = re.compile(r"(?:__)?[a-z][A-Za-z0-9_]*")
-_ARG = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+")
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
+_GUARD_NAME = re.compile(r"__c_(\d+)")
 
 
 @dataclass(frozen=True)
@@ -63,15 +70,20 @@ class ParseError(AspnfError):
 
 
 class _Scanner:
+    """Tracks only an offset; line and column are derived on error."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.token_end = SourceSpan(1, 1)
+        self.token_end = 0
 
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column)
+    def span(self, offset: int | None = None) -> SourceSpan:
+        if offset is None:
+            offset = self.pos
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return SourceSpan(
+            self.text.count("\n", 0, offset) + 1, offset - line_start + 1
+        )
 
     def error(self, message: str) -> None:
         raise ParseError(message, self.span())
@@ -79,30 +91,12 @@ class _Scanner:
     def eof(self) -> bool:
         return self.pos >= len(self.text)
 
-    def _advance(self, count: int) -> None:
-        for ch in self.text[self.pos : self.pos + count]:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-
     def skip_trivia(self) -> None:
-        while not self.eof():
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "%":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            else:
-                return
+        self.pos = _TRIVIA.match(self.text, self.pos).end()
 
     def try_symbol(self, symbol: str) -> bool:
         if self.text.startswith(symbol, self.pos):
-            self._advance(len(symbol))
-            self.token_end = self.span()
+            self.pos = self.token_end = self.pos + len(symbol)
             return True
         return False
 
@@ -110,8 +104,7 @@ class _Scanner:
         m = pattern.match(self.text, self.pos)
         if m is None:
             return None
-        self._advance(m.end() - m.start())
-        self.token_end = self.span()
+        self.pos = self.token_end = m.end()
         return m.group()
 
 
@@ -119,7 +112,9 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
     """Parse program text; see the module docstring for the grammar."""
     sc = _Scanner(text)
     rules: list[Rule] = []
-    guard_count = 0
+    # indices of ":- body." rules; their guards are named once every
+    # atom of the input is known
+    constraints: list[int] = []
     while True:
         sc.skip_trivia()
         if sc.eof():
@@ -127,9 +122,8 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
         if sc.try_symbol(":-"):
             body = _parse_body(sc, allow_reserved)
             _expect_dot(sc)
-            guard = f"__c_{guard_count}"
-            guard_count += 1
-            rules.append(Rule(guard, (neg(guard),) + body))
+            constraints.append(len(rules))
+            rules.append(Rule("", body))
             continue
         head = _parse_atom(sc, allow_reserved)
         sc.skip_trivia()
@@ -141,6 +135,13 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
             rules.append(Rule(head, body))
         else:
             sc.error("expected '.' or ':-'")
+    if constraints:
+        atoms = {rule.head for rule in rules}
+        atoms.update(lit.atom for rule in rules for lit in rule.body)
+        tags = fresh_tags(atoms, _GUARD_NAME)
+        for i in constraints:
+            guard = f"__c_{next(tags)}"
+            rules[i] = Rule(guard, (neg(guard),) + rules[i].body)
     return Program(tuple(rules))
 
 
@@ -149,7 +150,8 @@ def _expect_dot(sc: _Scanner) -> None:
     if not sc.try_symbol("."):
         # at end of input, point at the end of the rule rather than
         # past the trailing whitespace
-        raise ParseError("expected '.'", sc.token_end if sc.eof() else sc.span())
+        offset = sc.token_end if sc.eof() else sc.pos
+        raise ParseError("expected '.'", sc.span(offset))
 
 
 def _parse_body(sc: _Scanner, allow_reserved: bool):
@@ -163,24 +165,25 @@ def _parse_body(sc: _Scanner, allow_reserved: bool):
 
 def _parse_literal(sc: _Scanner, allow_reserved: bool):
     sc.skip_trivia()
-    m = _NAME.match(sc.text, sc.pos)
+    m = NAME.match(sc.text, sc.pos)
     if m is not None and m.group() == "not":
-        sc._advance(len("not"))
+        sc.pos = m.end()
         return neg(_parse_atom(sc, allow_reserved))
     return pos(_parse_atom(sc, allow_reserved))
 
 
 def _parse_atom(sc: _Scanner, allow_reserved: bool) -> str:
     sc.skip_trivia()
-    start = sc.span()
-    name = sc.match(_NAME)
+    start = sc.pos
+    name = sc.match(NAME)
     if name is None:
         sc.error("expected atom")
     if name == "not":
-        raise ParseError("'not' is a keyword, not an atom", start)
+        raise ParseError("'not' is a keyword, not an atom", sc.span(start))
     if is_reserved(name) and not allow_reserved:
+        span = sc.span(start)
         raise ReservedAtomError(
-            f"line {start.line}, column {start.column}: "
+            f"line {span.line}, column {span.column}: "
             f"atom {name!r} uses the reserved '__' prefix"
         )
     sc.skip_trivia()
@@ -199,7 +202,7 @@ def _parse_atom(sc: _Scanner, allow_reserved: bool) -> str:
 
 def _parse_arg(sc: _Scanner) -> str:
     sc.skip_trivia()
-    arg = sc.match(_ARG)
+    arg = sc.match(ARG)
     if arg is None:
         sc.error("expected argument")
     return arg

@@ -2,7 +2,8 @@
 
 ``oracle_answer_sets`` re-implements answer-set checking from scratch
 (its own reduct and closure code, no pruning) so that the library's
-enumerator is cross-checked against a second, independent route.
+enumerator is cross-checked against a second, independent route;
+``oracle_well_founded`` does the same for the well-founded model.
 """
 
 import itertools
@@ -10,7 +11,7 @@ import random
 
 import pytest
 
-from aspnf import Literal, Program, Rule, parse_program
+from aspnf import Literal, Program, Rule, WfsResult, parse_program
 
 PI5_TEXT = """
 p :- not p.
@@ -134,6 +135,39 @@ def oracle_answer_sets(program: Program) -> list[frozenset[str]]:
             if model == candidate:
                 result.append(frozenset(candidate))
     return result
+
+
+def oracle_well_founded(program: Program) -> WfsResult:
+    """Alternating fixpoint of the Gelfond-Lifschitz operator over
+    plain sets, with its own inline reduct and closure (Van Gelder
+    1993): ``lower = gamma(upper)``, ``upper = gamma(lower)`` from the
+    full universe until neither moves."""
+
+    def gamma(interpretation: frozenset[str]) -> frozenset[str]:
+        surviving = [
+            (rule.head, [lit.atom for lit in rule.body if not lit.negated])
+            for rule in program.rules
+            if not any(lit.negated and lit.atom in interpretation for lit in rule.body)
+        ]
+        model: set[str] = set()
+        changed = True
+        while changed:
+            changed = False
+            for head, positives in surviving:
+                if head not in model and all(a in model for a in positives):
+                    model.add(head)
+                    changed = True
+        return frozenset(model)
+
+    universe = program.atoms
+    lower: frozenset[str] = frozenset()
+    upper = universe
+    while True:
+        next_lower = gamma(upper)
+        next_upper = gamma(next_lower)
+        if (next_lower, next_upper) == (lower, upper):
+            return WfsResult(lower, universe - upper, upper - lower)
+        lower, upper = next_lower, next_upper
 
 
 def all_antichains(atoms) -> list[frozenset[frozenset[str]]]:

@@ -1,0 +1,16 @@
+import aspnf
+
+
+def test_all_names_resolve_without_duplicates():
+    assert len(aspnf.__all__) == len(set(aspnf.__all__))
+    for name in aspnf.__all__:
+        assert hasattr(aspnf, name), name
+    namespace: dict = {}
+    exec("from aspnf import *", namespace)
+    assert set(aspnf.__all__) <= namespace.keys()
+
+
+def test_program_level_reduct_route_is_gone():
+    for name in ("gl_reduct", "least_model", "NegativeBodyError"):
+        assert name not in aspnf.__all__
+        assert not hasattr(aspnf, name)

@@ -52,6 +52,11 @@ def test_build_program_rejects_malformed_names():
         build_program([Rule("", ())])
     with pytest.raises(ValueError):
         build_program([Rule("a b", ())])
+    # the parser's grammar: lower-case name, balanced argument list
+    for name in ("123", "a(b", "A"):
+        with pytest.raises(ValueError):
+            build_program([Rule(name, ())])
+    assert build_program([Rule("color(0,red)", ())]).atoms == {"color(0,red)"}
 
 
 def test_rebuild_is_idempotent(pi6):

@@ -77,6 +77,23 @@ def test_long_rule_simplify_fresh_names_avoid_input_atoms():
         assert expected and projected == expected
 
 
+def test_reconstruct_keeps_reserved_atoms_of_the_input():
+    # the input already carries __h0_* atoms, which belong to its
+    # answer sets and must survive reconstruction
+    first, _ = three_kernelize(parse_program(PI5_TEXT))
+    text = render_program(first) + "p :- not b, not d.\n"
+    program = parse_program(text, allow_reserved=True)
+    result, trace = three_kernelize(program)
+    expected = oracle_answer_sets(program)
+    assert [sorted(s) for s in expected] == [
+        ["__h0_1", "__h0_3", "a", "c", "p"],
+        ["__h0_2", "__h0_4", "b", "d", "p"],
+    ]
+    restored = {reconstruct(s, trace) for s in oracle_answer_sets(result)}
+    assert restored == set(expected)
+    assert trace.original_atoms == program.atoms
+
+
 def test_long_rule_simplify_no_long_rules():
     program = parse_program("a :- not b. b :- not a.")
     result, trace = long_rule_simplify(program)

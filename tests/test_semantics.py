@@ -4,56 +4,58 @@ import pytest
 
 from aspnf import (
     AnswerSetCollection,
-    NegativeBodyError,
     Program,
     Rule,
     UniverseTooLargeError,
     enumerate_answer_sets,
     gamma,
-    gl_reduct,
     is_answer_set,
     is_wfs_irreducible,
-    least_model,
     neg,
     parse_program,
     well_founded,
 )
-from conftest import oracle_answer_sets, random_general_program
+from aspnf.generate import random_kernel_program
+from conftest import oracle_answer_sets, oracle_well_founded, random_general_program
+
+
+# gamma is the least model of the Gelfond-Lifschitz reduct; the tests
+# named after the reduct and the least model pin those two halves.
 
 
 def test_gl_reduct_pi6(pi6):
-    # drop every rule contradicted by {b, q}, then strip negation
-    assert gl_reduct(pi6, {"b", "q"}) == parse_program("b. q.")
+    # {b, q} drops every rule but "b :- not a." and "q :- not a."
+    assert gamma(pi6, {"b", "q"}) == gamma(parse_program("b. q."), set())
 
 
 def test_gl_reduct_positive_program_unchanged():
     program = parse_program("a :- b. b.")
-    assert gl_reduct(program, {"a"}) == program
+    assert gamma(program, {"a"}) == gamma(program, set()) == {"a", "b"}
 
 
 def test_gl_reduct_single_deletion():
-    assert gl_reduct(parse_program("p :- not p."), set()) == parse_program("p.")
+    program = parse_program("p :- not p.")
+    assert gamma(program, set()) == {"p"}
+    assert gamma(program, {"p"}) == frozenset()
 
 
 def test_gl_reduct_ignores_unknown_atoms(pi6):
-    assert gl_reduct(pi6, {"zzz"}) == gl_reduct(pi6, set())
+    assert gamma(pi6, {"zzz"}) == gamma(pi6, set())
+    assert gamma(pi6, {"b", "q", "zzz"}) == gamma(pi6, {"b", "q"})
 
 
 def test_least_model_facts_only():
-    assert least_model(parse_program("b. q.")) == {"b", "q"}
+    program = parse_program("b. q.")
+    assert gamma(program, set()) == gamma(program, {"b"}) == {"b", "q"}
 
 
 def test_least_model_empty():
-    assert least_model(Program()) == frozenset()
+    assert gamma(Program(), set()) == frozenset()
+    assert gamma(Program(), {"a"}) == frozenset()
 
 
 def test_least_model_unfounded_positive_cycle():
-    assert least_model(parse_program("a :- b. b :- a.")) == frozenset()
-
-
-def test_least_model_rejects_negation():
-    with pytest.raises(NegativeBodyError):
-        least_model(parse_program("a :- not b."))
+    assert gamma(parse_program("a :- b. b :- a."), set()) == frozenset()
 
 
 def test_gamma_pi6_empty_set(pi6):
@@ -91,6 +93,8 @@ def test_gamma_squared_monotone():
 def test_is_answer_set_pi6(pi6):
     assert is_answer_set(pi6, {"b", "q"})
     assert not is_answer_set(pi6, {"a"})
+    # atoms outside the program are never in an answer set
+    assert not is_answer_set(pi6, {"b", "q", "zzz"})
     # gamma({a}) leaves p and q underivable only via their loops
     assert gamma(pi6, {"a"}) == {"a", "p", "q"}
 
@@ -220,6 +224,22 @@ def test_well_founded_respected_by_answer_sets():
         for answer_set in enumerate_answer_sets(program):
             assert wfs.true_atoms <= answer_set
             assert not answer_set & wfs.false_atoms
+
+
+def test_well_founded_matches_oracle_on_random_programs():
+    rng = random.Random(82)
+    for _ in range(400):
+        program = random_general_program(rng, 7, 10)
+        assert well_founded(program) == oracle_well_founded(program)
+
+
+def test_well_founded_matches_oracle_on_kernel_programs():
+    for seed in range(40):
+        program = random_kernel_program(8, 12, seed=seed)
+        assert well_founded(program) == oracle_well_founded(program)
+        # without one rule the program usually leaves kernel form
+        smaller = Program(program.rules[1:])
+        assert well_founded(smaller) == oracle_well_founded(smaller)
 
 
 def test_is_wfs_irreducible(pi6):

@@ -7,13 +7,14 @@ from aspnf import (
     Program,
     ReservedAtomError,
     Rule,
+    enumerate_answer_sets,
     export_dot,
     neg,
     parse_program,
     pos,
     render_program,
 )
-from conftest import PI5_TEXT, PI6_TEXT, random_general_program
+from conftest import PI5_TEXT, PI6_TEXT, oracle_answer_sets, random_general_program
 
 
 def test_parse_self_loop():
@@ -82,6 +83,52 @@ def test_constraint_shorthand():
 def test_constraint_shorthand_counts_up():
     program = parse_program(":- a. :- not b.")
     assert [r.head for r in program.rules] == ["__c_0", "__c_1"]
+
+
+def test_constraint_guard_skips_names_in_input():
+    text = "a :- not b. b :- not a. :- a. __c_0 :- not y. y :- not __c_0."
+    program = parse_program(text, allow_reserved=True)
+    assert program.rules[2].head == "__c_1"
+    assert list(enumerate_answer_sets(program)) == oracle_answer_sets(program)
+    assert [sorted(s) for s in enumerate_answer_sets(program)] == [
+        ["__c_0", "b"],
+        ["b", "y"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, error, line, column, message",
+    [
+        ("p :- q", ParseError, 1, 7, "expected '.'"),
+        ("p :- q  \n\t ", ParseError, 1, 7, "expected '.'"),
+        ("a :- b.\np :- q r.", ParseError, 2, 8, "expected '.'"),
+        ("a :- b. c d.", ParseError, 1, 11, "expected '.' or ':-'"),
+        ("a :- b.\r\n  :- .", ParseError, 2, 6, "expected atom"),
+        (
+            "a :- b,\n not not c.",
+            ParseError,
+            2,
+            6,
+            "'not' is a keyword, not an atom",
+        ),
+        ("a :- b.\n\tc :- d(x, ).", ParseError, 2, 12, "expected argument"),
+        ("a(0 b) :- c.", ParseError, 1, 5, "expected ',' or ')'"),
+        (
+            "a :- b.\n% c\n  __x :- a.",
+            ReservedAtomError,
+            3,
+            3,
+            "atom '__x' uses the reserved '__' prefix",
+        ),
+    ],
+)
+def test_error_spans(text, error, line, column, message):
+    with pytest.raises(error) as err:
+        parse_program(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    if error is ParseError:
+        assert (err.value.span.line, err.value.span.column) == (line, column)
+        assert err.value.reason == message
 
 
 def test_render_empty():
