@@ -35,7 +35,12 @@ ENV_MAX_ATOMS = "ASPNF_MAX_ATOMS"
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise AspnfError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from exc
 
 
 def _read_program(args: argparse.Namespace, attr: str = "file") -> Program:
@@ -181,6 +186,18 @@ def _cmd_gen_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
 def _add_allow_reserved(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--allow-reserved",
@@ -268,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_equiv)
 
     sub = commands.add_parser("gen-kernel", help="random kernel program")
-    sub.add_argument("--atoms", type=int, required=True)
+    sub.add_argument("--atoms", type=_positive_int, required=True)
     sub.add_argument("--rules", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-body", type=int, default=3)

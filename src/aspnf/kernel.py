@@ -195,7 +195,9 @@ def parse_antichain(text: str) -> AntiChain:
     """Parse the format produced by :func:`render_antichain`.
 
     ``%`` comments and blank lines are skipped. The header must come
-    first; every following line is one component.
+    first; every following line is one component. Raises
+    :class:`AspnfError` when the components are not an anti-chain over
+    the universe.
     """
     universe: frozenset[str] | None = None
     components: list[frozenset[str]] = []
@@ -213,7 +215,10 @@ def parse_antichain(text: str) -> AntiChain:
         components.append(frozenset(_split_atoms(line, lineno)))
     if universe is None:
         raise AspnfError("missing '#universe' header")
-    return AntiChain(universe, frozenset(components))
+    try:
+        return AntiChain(universe, frozenset(components))
+    except ValueError as exc:
+        raise AspnfError(str(exc)) from exc
 
 
 def _split_atoms(chunk: str, lineno: int) -> list[str]:

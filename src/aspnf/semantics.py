@@ -15,16 +15,46 @@ bound are false, the rest are undefined.
 
 Interpretations are plain ``frozenset`` values of atom names.
 
-``enumerate_answer_sets`` searches the subset space exhaustively,
-running the same tightening at every node, so at the root the search
-prunes exactly the well-founded true/false atoms. Every pruning step is
-justified by antimonotonicity alone, so the search is exact; the test
-suite cross-checks it, and the well-founded model, against independent
-implementations.
+``enumerate_answer_sets`` searches the subset space exhaustively. At
+every node it alternates the gamma fixpoint with the completion
+inferences below (the ``expand`` step of smodels: Simons, Niemelä and
+Soininen, 2002) until neither narrows ``[lower, upper]``, then splits
+on one undecided atom. A rule is *blocked* when a positive body atom is
+outside ``upper`` or a negative body atom is in ``lower``; a literal
+*holds* when its atom is decided its way. Every answer set S with
+``lower <= S <= upper`` satisfies each inference, because an atom is in
+S iff some rule with head that atom has a body true in S:
+
+1. Support. An atom whose rules are all blocked is false, and a
+   conflict if it is true. If a true atom has exactly one unblocked
+   rule, that rule's body is true in S: its positive atoms join
+   ``lower`` and its negative atoms leave ``upper``.
+2. False head. A false atom's rules all have bodies false in S. If
+   every literal of an unblocked one holds, that is a conflict; if all
+   but one hold, the remaining literal is false.
+3. True body. An unblocked rule whose body holds, except perhaps for
+   ``not head``, makes its head true: if the head were false, ``not
+   head`` would hold and the body would be true. So with ``q`` true,
+   ``p :- not p, q`` makes ``p`` true, and ``p`` then needs another
+   rule to support it: the rule acts as a constraint.
+
+Rules with an atom both positive and negative in their body are never
+true and take no part. Only the gamma fixpoint is used for the
+well-founded model: the completion is stronger (on ``q :- not q.
+q :- not a.`` it makes ``q`` true, which the well-founded model leaves
+undefined). At a leaf the search keeps ``lower`` iff ``gamma(lower) ==
+lower``, so the result is exact whatever the propagation prunes; the
+test suite cross-checks it, and the well-founded model, against
+independent implementations.
+
+After each enumeration the ``aspnf`` logger gets one debug record whose
+arguments are a dict of atoms, rules, search nodes, conflicts (nodes
+that hold no answer set) and answers.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -33,6 +63,8 @@ from .model import Program
 
 #: Default cap on the enumeration universe (overridable per call).
 DEFAULT_MAX_ATOMS = 24
+
+_log = logging.getLogger("aspnf")
 
 
 def gamma(program: Program, atoms: Iterable[str]) -> frozenset[str]:
@@ -193,23 +225,141 @@ def _tighten(bp: _BitProgram, lower: int, upper: int) -> tuple[int, int] | None:
         lower, upper = tightened_lower, tightened_upper
 
 
-def _search(bp: _BitProgram, found: list[int]) -> None:
-    # Bound-and-branch over [lower, upper] intervals of the subset
-    # lattice, tightened at every node.
+def _completion_index(bp: _BitProgram) -> tuple:
+    """What ``_complete`` reads: the rules that can fire at all, as
+    ``(head, pos, neg)`` masks; per atom, its bit and, as bitsets over
+    those rules, the rules it heads, occurs in positively, negatively
+    and at all; and the bitset of rules holding ``not head``.
+
+    A rule with an atom in both parts of its body never has a true body,
+    so it supports nothing and constrains nothing."""
+    bodies = tuple(rule for rule in bp.rules if not rule[1] & rule[2])
+    heads = [0] * len(bp.atoms)
+    positive = [0] * len(bp.atoms)
+    negative = [0] * len(bp.atoms)
+    self_negating = 0
+    for r, (head, pos_mask, neg_mask) in enumerate(bodies):
+        rule = 1 << r
+        heads[head.bit_length() - 1] |= rule
+        for i in _bits(pos_mask):
+            positive[i] |= rule
+        for i in _bits(neg_mask):
+            negative[i] |= rule
+        if neg_mask & head:
+            self_negating |= rule
+    atoms = tuple(
+        (1 << i, heads[i], positive[i], negative[i], positive[i] | negative[i])
+        for i in range(len(bp.atoms))
+    )
+    return atoms, bodies, self_negating
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _complete(index: tuple, lower: int, upper: int) -> tuple[int, int] | None:
+    """Narrow ``[lower, upper]`` by the completion inferences of the
+    module docstring until they no longer move it; None on a conflict.
+    Each pass draws every inference from the same interval."""
+    atoms, bodies, self_negating = index
+    while True:
+        # Bitsets over rules: blocked bodies, bodies with at least one
+        # and with at least two undecided literals, rules whose head is
+        # false or undecided.
+        blocked = open_once = open_twice = false_heads = open_heads = 0
+        true_atoms = []
+        open_atoms = []
+        for bit, heads, pos_rules, neg_rules, lit_rules in atoms:
+            if bit & lower:
+                blocked |= neg_rules
+                true_atoms.append(heads)
+            elif bit & upper:
+                open_twice |= open_once & lit_rules
+                open_once |= lit_rules
+                open_heads |= heads
+                open_atoms.append((bit, heads))
+            else:
+                blocked |= pos_rules
+                false_heads |= heads
+        live = ~blocked
+        new_lower, new_upper = lower, upper
+        # 1. Support.
+        for heads in true_atoms:
+            support = heads & live
+            if not support:
+                return None
+            if not support & (support - 1) and support & open_once:
+                _head, pos_mask, neg_mask = bodies[support.bit_length() - 1]
+                new_lower |= pos_mask
+                new_upper &= ~neg_mask
+        for bit, heads in open_atoms:
+            if not heads & live:
+                new_upper &= ~bit
+        # 2. False head.
+        refuted = false_heads & live
+        if refuted & ~open_once:
+            return None
+        for r in _bits(refuted & ~open_twice):
+            _head, pos_mask, neg_mask = bodies[r]
+            new_upper &= ~(pos_mask & ~lower)
+            new_lower |= neg_mask & upper
+        # 3. True body; with one undecided literal, it is ``not head``.
+        for r in _bits(open_heads & live & (~open_once | self_negating & ~open_twice)):
+            new_lower |= bodies[r][0]
+        if new_lower & ~new_upper:
+            return None
+        if new_lower == lower and new_upper == upper:
+            return lower, upper
+        lower, upper = new_lower, new_upper
+
+
+def _propagate(
+    bp: _BitProgram, index: tuple, lower: int, upper: int
+) -> tuple[int, int] | None:
+    """Alternate the completion and the gamma fixpoint until neither
+    narrows ``[lower, upper]``; None when the interval holds no answer
+    set."""
+    while True:
+        completed = _complete(index, lower, upper)
+        if completed is None:
+            return None
+        bounds = _tighten(bp, *completed)
+        if bounds is None or bounds == completed:
+            return bounds
+        lower, upper = bounds
+
+
+def _search(bp: _BitProgram, found: list[int]) -> tuple[int, int]:
+    """Bound-and-branch over ``[lower, upper]`` intervals of the subset
+    lattice, propagated at every node. Appends the answer sets to
+    ``found``; returns the numbers of search nodes and of conflicts
+    (nodes that hold no answer set)."""
+    index = _completion_index(bp)
+    nodes = conflicts = 0
     pending = [(0, bp.full)]
     while pending:
-        bounds = _tighten(bp, *pending.pop())
+        nodes += 1
+        bounds = _propagate(bp, index, *pending.pop())
         if bounds is None:
+            conflicts += 1
             continue
         lower, upper = bounds
         if lower == upper:
             if bp.gamma(lower) == lower:
                 found.append(lower)
+            else:
+                conflicts += 1
             continue
         undecided = upper & ~lower
         bit = undecided & -undecided
         pending.append((lower, upper & ~bit))
         pending.append((lower | bit, upper))
+    return nodes, conflicts
 
 
 def enumerate_answer_sets(
@@ -230,7 +380,19 @@ def enumerate_answer_sets(
         )
     bp = _BitProgram(program)
     found: list[int] = []
-    _search(bp, found)
+    nodes, conflicts = _search(bp, found)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "enumerate_answer_sets: %(atoms)d atoms, %(rules)d rules, "
+            "%(nodes)d nodes, %(conflicts)d conflicts, %(answers)d answers",
+            {
+                "atoms": size,
+                "rules": len(bp.rules),
+                "nodes": nodes,
+                "conflicts": conflicts,
+                "answers": len(found),
+            },
+        )
     sets = sorted(
         (bp.to_set(mask) for mask in found),
         key=lambda s: (len(s), tuple(sorted(s))),

@@ -10,8 +10,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from aspnf import Literal, Program, Rule, WfsResult, parse_program
+
+# Property tests draw the same examples on every run.
+settings.register_profile(
+    "aspnf", derandomize=True, database=None, deadline=None, max_examples=200
+)
+settings.load_profile("aspnf")
 
 PI5_TEXT = """
 p :- not p.

@@ -218,3 +218,41 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     path.write_text("p :- q\n")
     assert main(["parse", str(path)]) == 3
     assert "line 1" in capsys.readouterr().err
+
+
+def _assert_clean_error(capsys):
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_gen_kernel_zero_atoms_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen-kernel", "--atoms", "0", "--rules", "1"])
+    assert excinfo.value.code == 2
+    _assert_clean_error(capsys)
+
+
+def test_antichain2kernel_component_outside_universe(tmp_path, capsys):
+    path = tmp_path / "outside.ac"
+    path.write_text("#universe a.\nb.\n")
+    assert main(["antichain2kernel", str(path)]) == 3
+    _assert_clean_error(capsys)
+
+
+def test_antichain2kernel_rejects_a_chain(tmp_path, capsys):
+    path = tmp_path / "chain.ac"
+    path.write_text("#universe a, b.\na.\na, b.\n")
+    assert main(["antichain2kernel", str(path)]) == 3
+    _assert_clean_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse"], ["solve"], ["wfs"], ["3kernelize"], ["antichain2kernel"], ["encode-3col"]],
+)
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.lp"
+    path.write_bytes("a :- not b.\n% caf\xe9\n".encode("latin-1"))
+    assert main(argv + [str(path)]) == 3
+    _assert_clean_error(capsys)

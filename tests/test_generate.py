@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,10 @@ from aspnf import (
 
 def k_n(n: int):
     return graph(range(n), itertools.combinations(range(n), 2))
+
+
+def cycle(n: int):
+    return graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int):
@@ -96,6 +101,33 @@ def test_encode_k4_unsatisfiable():
     program = encode_3col(k_n(4))
     assert check_kernel(program).is_kernel
     assert len(enumerate_answer_sets(program, max_atoms=40)) == 0
+
+
+def _answer_sets(g):
+    program = encode_3col(g)
+    return enumerate_answer_sets(program, max_atoms=len(program.atoms))
+
+
+def test_cycle_colorings():
+    # The chromatic polynomial of C_n at 3: 2^n + 2(-1)^n.
+    for n in [*range(3, 11), 12]:
+        assert len(_answer_sets(cycle(n))) == 2**n + 2 * (-1) ** n, n
+
+
+def test_cliques_beyond_three_nodes_are_uncolorable():
+    for n in range(4, 9):
+        assert len(_answer_sets(k_n(n))) == 0, n
+
+
+def test_random_graph_colorings_match_brute_force():
+    rng = random.Random(20)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        g = graph(range(n), edges)
+        decoded = [tuple(sorted(decode_3col(s, g).items())) for s in _answer_sets(g)]
+        assert len(decoded) == len(proper_colorings(g)), (n, edges)
+        assert set(decoded) == proper_colorings(g), (n, edges)
 
 
 def test_decode_requires_exactly_one_color():
