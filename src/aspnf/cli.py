@@ -179,6 +179,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_kernel(args: argparse.Namespace) -> int:
+    if args.rules < args.atoms:
+        args.parser.error(
+            f"--rules must be at least --atoms ({args.atoms}), got {args.rules}"
+        )
     program = random_kernel_program(
         args.atoms, args.rules, max_body=args.max_body, seed=args.seed
     )
@@ -288,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--atoms", type=_positive_int, required=True)
     sub.add_argument("--rules", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-body", type=int, default=3)
-    sub.set_defaults(func=_cmd_gen_kernel)
+    sub.add_argument("--max-body", type=_positive_int, default=3)
+    sub.set_defaults(func=_cmd_gen_kernel, parser=sub)
 
     return parser
 

@@ -31,7 +31,3 @@ class ReconstructionError(AspnfError):
 
 class MalformedAnswerSetError(AspnfError):
     """An interpretation does not have the shape an operation requires."""
-
-
-class GenerationFailedError(AspnfError):
-    """Random program generation ran out of retries."""

@@ -12,8 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import GenerationFailedError, MalformedAnswerSetError
-from .kernel import check_kernel
+from .errors import MalformedAnswerSetError
 from .model import Program, Rule, neg
 
 COLORS = ("red", "green", "blue")
@@ -102,30 +101,37 @@ def random_kernel_program(
 ) -> Program:
     """Random program in kernel form, deterministic in ``seed``.
 
-    Draws purely negative rules whose heads cover every atom (needs
-    ``n_rules >= n_atoms``), patches body coverage, and rejects the
-    sample unless ``check_kernel`` passes. Gives up after 1000 draws.
+    Draws purely negative rules whose heads cover every atom, then adds
+    ``not a`` to a random rule for each atom ``a`` in no body. Raises
+    ``ValueError`` unless ``1 <= n_atoms <= n_rules`` and
+    ``max_body >= 1``.
+
+    The result is in kernel form by construction. Every body is
+    negative and nonempty, so no atom is derived from the full
+    universe, and every atom heads a rule, so every atom is derived
+    from the empty set: the well-founded model leaves every atom
+    undefined.
     """
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
+    if n_rules < n_atoms:
+        raise ValueError(
+            f"n_rules ({n_rules}) must be at least n_atoms ({n_atoms}), "
+            "so that every atom heads a rule"
+        )
+    if max_body < 1:
+        raise ValueError(f"max_body must be at least 1, got {max_body}")
     rng = random.Random(seed)
     names = [f"a{i}" for i in range(1, n_atoms + 1)]
-    for _attempt in range(1000):
-        rules: list[Rule] = []
-        for i in range(n_rules):
-            head = names[i] if i < n_atoms else rng.choice(names)
-            body_size = rng.randint(1, max(1, min(max_body, n_atoms)))
-            body = rng.sample(names, body_size)
-            rules.append(Rule(head, tuple(neg(atom) for atom in body)))
-        covered = {lit.atom for rule in rules for lit in rule.body}
-        for atom in names:
-            if atom not in covered and rules:
-                i = rng.randrange(len(rules))
-                rules[i] = Rule(rules[i].head, rules[i].body + (neg(atom),))
-        program = Program(tuple(rules))
-        if check_kernel(program).is_kernel:
-            return program
-    raise GenerationFailedError(
-        f"no kernel program found for atoms={n_atoms} rules={n_rules} "
-        f"max_body={max_body} seed={seed} after 1000 draws"
-    )
+    rules: list[Rule] = []
+    for i in range(n_rules):
+        head = names[i] if i < n_atoms else rng.choice(names)
+        body_size = rng.randint(1, min(max_body, n_atoms))
+        body = rng.sample(names, body_size)
+        rules.append(Rule(head, tuple(neg(atom) for atom in body)))
+    covered = {lit.atom for rule in rules for lit in rule.body}
+    for atom in names:
+        if atom not in covered:
+            i = rng.randrange(len(rules))
+            rules[i] = Rule(rules[i].head, rules[i].body + (neg(atom),))
+    return Program(tuple(rules))

@@ -47,9 +47,34 @@ lower``, so the result is exact whatever the propagation prunes; the
 test suite cross-checks it, and the well-founded model, against
 independent implementations.
 
+In a program without positive body literals the completion subsumes
+the gamma fixpoint, so the search skips it there. For such a program
+``gamma(s)`` is the set of heads of rules with no negative body atom in
+``s``. ``gamma(upper)`` is then the heads of bodies that hold, which
+inference 3 has already made true, and ``upper & gamma(lower)`` drops
+exactly the atoms with no unblocked rule, which inference 1 has already
+made false. Once the completion stops moving, the gamma fixpoint cannot
+narrow the interval; the leaf check stays.
+
+Before searching, ``enumerate_answer_sets`` splits the program into the
+connected components of its atom-rule incidence graph, where an atom
+and a rule are linked when the atom is the rule's head or occurs in its
+body. This is the simplest case of the splitting-set theorem (Lifschitz
+and Turner, 1994, "Splitting a logic program"). Components share no
+atom, and each rule's reduct depends only on atoms of its own
+component, so ``gamma`` of a union is the union of each component's
+``gamma`` of its part. A set is therefore an answer set iff its
+restriction to every component is an answer set of that component, and
+the answer sets of the program are the unions of one answer set from
+each component: the product of the components' answer sets. Each
+component is compiled and searched on its own, in the order of its
+first rule; the first one with no answer set makes the whole program
+inconsistent, and the rest are not searched.
+
 After each enumeration the ``aspnf`` logger gets one debug record whose
-arguments are a dict of atoms, rules, search nodes, conflicts (nodes
-that hold no answer set) and answers.
+arguments are a dict of atoms, rules, components, search nodes,
+conflicts (nodes that hold no answer set) and answers, summed over the
+components.
 """
 
 from __future__ import annotations
@@ -59,7 +84,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import UniverseTooLargeError
-from .model import Program
+from .model import Program, Rule
 
 #: Default cap on the enumeration universe (overridable per call).
 DEFAULT_MAX_ATOMS = 24
@@ -73,7 +98,7 @@ def gamma(program: Program, atoms: Iterable[str]) -> frozenset[str]:
     Atoms outside the program's universe are ignored (they are false).
     Antimonotone: ``s1 <= s2`` implies ``gamma(p, s2) <= gamma(p, s1)``.
     """
-    bp = _BitProgram(program)
+    bp = _BitProgram(program.rules, program.atoms)
     return bp.to_set(bp.gamma(bp.to_mask(atoms)))
 
 
@@ -99,7 +124,7 @@ def well_founded(program: Program) -> WfsResult:
 
     Every answer set contains all true atoms and avoids all false ones.
     """
-    bp = _BitProgram(program)
+    bp = _BitProgram(program.rules, program.atoms)
     bounds = _tighten(bp, 0, bp.full)
     assert bounds is not None, "the well-founded model is consistent"
     lower, upper = bounds
@@ -145,23 +170,22 @@ class AnswerSetCollection:
 
 
 class _BitProgram:
-    """Program compiled to bitmasks, one bit per atom. For programs
-    without positive body literals the reduct consists of facts only,
-    so gamma collapses to a single pass.
+    """Rules compiled to bitmasks over the given atoms (which must hold
+    every atom of the rules), one bit per atom. For programs without
+    positive body literals the reduct consists of facts only, so gamma
+    collapses to a single pass.
 
     Low bits are assigned to non-reserved atoms so that the search
     branches on them first: values of transformation-generated atoms
     (``__`` prefix) are usually forced by propagation once the original
     atoms are decided."""
 
-    def __init__(self, program: Program):
-        self.atoms = tuple(
-            sorted(program.atoms, key=lambda a: (a.startswith("__"), a))
-        )
+    def __init__(self, rules: Iterable[Rule], atoms: Iterable[str]):
+        self.atoms = tuple(sorted(atoms, key=lambda a: (a.startswith("__"), a)))
         self.index = index = {atom: i for i, atom in enumerate(self.atoms)}
         self.full = (1 << len(self.atoms)) - 1
-        rules = []
-        for rule in program.rules:
+        compiled = []
+        for rule in rules:
             head = 1 << index[rule.head]
             pos_mask = 0
             neg_mask = 0
@@ -171,9 +195,9 @@ class _BitProgram:
                     neg_mask |= bit
                 else:
                     pos_mask |= bit
-            rules.append((head, pos_mask, neg_mask))
-        self.rules = tuple(rules)
-        self.negative_only = all(p == 0 for _, p, _ in rules)
+            compiled.append((head, pos_mask, neg_mask))
+        self.rules = tuple(compiled)
+        self.negative_only = all(p == 0 for _, p, _ in compiled)
 
     def gamma(self, s: int) -> int:
         if self.negative_only:
@@ -323,11 +347,12 @@ def _propagate(
 ) -> tuple[int, int] | None:
     """Alternate the completion and the gamma fixpoint until neither
     narrows ``[lower, upper]``; None when the interval holds no answer
-    set."""
+    set. Without positive body literals the completion alone is enough
+    (module docstring)."""
     while True:
         completed = _complete(index, lower, upper)
-        if completed is None:
-            return None
+        if completed is None or bp.negative_only:
+            return completed
         bounds = _tighten(bp, *completed)
         if bounds is None or bounds == completed:
             return bounds
@@ -362,6 +387,31 @@ def _search(bp: _BitProgram, found: list[int]) -> tuple[int, int]:
     return nodes, conflicts
 
 
+def _components(program: Program) -> list[tuple[list[Rule], list[str]]]:
+    """The rules and atoms of each connected component of the
+    atom-rule incidence graph, in the order of each component's first
+    rule, with rules in program order."""
+    parent = {atom: atom for atom in program.atoms}
+
+    def find(atom: str) -> str:
+        while parent[atom] != atom:
+            parent[atom] = atom = parent[parent[atom]]
+        return atom
+
+    for rule in program.rules:
+        root = find(rule.head)
+        for lit in rule.body:
+            other = find(lit.atom)
+            if other != root:
+                parent[other] = root
+    components: dict[str, tuple[list[Rule], list[str]]] = {}
+    for rule in program.rules:
+        components.setdefault(find(rule.head), ([], []))[0].append(rule)
+    for atom in program.atoms:
+        components[find(atom)][1].append(atom)
+    return list(components.values())
+
+
 def enumerate_answer_sets(
     program: Program, max_atoms: int | None = None
 ) -> AnswerSetCollection:
@@ -370,7 +420,8 @@ def enumerate_answer_sets(
     Raises :class:`UniverseTooLargeError` when the universe exceeds the
     cap (``DEFAULT_MAX_ATOMS`` unless ``max_atoms`` is given). Output
     order is deterministic: increasing cardinality, then lexicographic
-    on the sorted atom names.
+    on the sorted atom names. Each connected component of the program
+    is searched on its own (module docstring).
     """
     cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     size = len(program.atoms)
@@ -378,23 +429,32 @@ def enumerate_answer_sets(
         raise UniverseTooLargeError(
             f"program has {size} atoms, enumeration cap is {cap}"
         )
-    bp = _BitProgram(program)
-    found: list[int] = []
-    nodes, conflicts = _search(bp, found)
+    components = _components(program)
+    answer_sets: list[frozenset[str]] = [frozenset()]
+    nodes = conflicts = 0
+    for rules, atoms in components:
+        bp = _BitProgram(rules, atoms)
+        found: list[int] = []
+        component_nodes, component_conflicts = _search(bp, found)
+        nodes += component_nodes
+        conflicts += component_conflicts
+        parts = [bp.to_set(mask) for mask in found]
+        answer_sets = [s | part for s in answer_sets for part in parts]
+        if not answer_sets:
+            break
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "enumerate_answer_sets: %(atoms)d atoms, %(rules)d rules, "
-            "%(nodes)d nodes, %(conflicts)d conflicts, %(answers)d answers",
+            "%(components)d components, %(nodes)d nodes, "
+            "%(conflicts)d conflicts, %(answers)d answers",
             {
                 "atoms": size,
-                "rules": len(bp.rules),
+                "rules": len(program.rules),
+                "components": len(components),
                 "nodes": nodes,
                 "conflicts": conflicts,
-                "answers": len(found),
+                "answers": len(answer_sets),
             },
         )
-    sets = sorted(
-        (bp.to_set(mask) for mask in found),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
-    return AnswerSetCollection(tuple(sets))
+    answer_sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return AnswerSetCollection(tuple(answer_sets))

@@ -233,6 +233,21 @@ def test_gen_kernel_zero_atoms_is_a_usage_error(capsys):
     _assert_clean_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        ["--atoms", "1", "--rules", "0"],
+        ["--atoms", "3", "--rules", "-2"],
+        ["--atoms", "2", "--rules", "3", "--max-body", "0"],
+    ],
+)
+def test_gen_kernel_invalid_sizes_are_usage_errors(sizes, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen-kernel", *sizes])
+    assert excinfo.value.code == 2
+    _assert_clean_error(capsys)
+
+
 def test_antichain2kernel_component_outside_universe(tmp_path, capsys):
     path = tmp_path / "outside.ac"
     path.write_text("#universe a.\nb.\n")

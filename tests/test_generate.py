@@ -5,7 +5,6 @@ import pytest
 
 from aspnf import (
     COLORS,
-    GenerationFailedError,
     MalformedAnswerSetError,
     check_kernel,
     decode_3col,
@@ -156,6 +155,12 @@ def test_random_kernel_program_passes_check():
         program = random_kernel_program(5, 7, max_body=3, seed=seed)
         assert check_kernel(program).is_kernel
         assert program.atoms == {f"a{i}" for i in range(1, 6)}
+    # Kernel form holds by construction, with no draw rejected.
+    for n_atoms, n_rules, max_body in [(1, 1, 1), (4, 4, 1), (6, 6, 2), (12, 30, 5)]:
+        for seed in range(20):
+            program = random_kernel_program(n_atoms, n_rules, max_body, seed)
+            assert check_kernel(program).is_kernel
+            assert len(program.atoms) == n_atoms
 
 
 def test_random_kernel_program_two_atoms():
@@ -165,11 +170,8 @@ def test_random_kernel_program_two_atoms():
 
 
 def test_random_kernel_program_validates_arguments():
-    with pytest.raises(ValueError):
-        random_kernel_program(0, 1)
-
-
-def test_random_kernel_program_gives_up():
-    # one rule cannot put three atoms into heads
-    with pytest.raises(GenerationFailedError):
-        random_kernel_program(3, 1, max_body=1, seed=0)
+    # No atom; fewer rules than atoms, so some atom heads no rule; no
+    # room for a body literal.
+    for n_atoms, n_rules, max_body in [(0, 1, 3), (1, 0, 3), (3, -2, 3), (3, 1, 1), (2, 3, 0)]:
+        with pytest.raises(ValueError):
+            random_kernel_program(n_atoms, n_rules, max_body=max_body)

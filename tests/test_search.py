@@ -3,21 +3,21 @@ generated programs, and its debug record of search counters."""
 
 import logging
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aspnf import Literal, Program, Rule, enumerate_answer_sets, neg, well_founded
 from aspnf.generate import encode_3col, graph
-from conftest import oracle_answer_sets, oracle_well_founded
+from conftest import oracle_answer_sets, oracle_well_founded, rename_atoms
 
 
 @st.composite
-def programs(draw):
-    """Up to 8 atoms: facts, positive and negative bodies, rules holding
-    ``not head`` in their body, even loops ``a :- not b, ...`` and
-    ``b :- not a`` that leave atoms for the search to branch on, and
-    copies of rules with the body reversed (the same rule to the search,
-    a distinct rule to ``Program``)."""
-    names = [f"x{i}" for i in range(draw(st.integers(1, 8)))]
+def programs(draw, max_atoms=8):
+    """Up to ``max_atoms`` atoms: facts, positive and negative bodies,
+    rules holding ``not head`` in their body, even loops ``a :- not b,
+    ...`` and ``b :- not a`` that leave atoms for the search to branch
+    on, and copies of rules with the body reversed (the same rule to the
+    search, a distinct rule to ``Program``)."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, max_atoms)))]
     atom = st.sampled_from(names)
     body = st.lists(st.builds(Literal, atom, st.booleans()), max_size=3)
     rule = st.builds(lambda head, lits: [Rule(head, tuple(lits))], atom, body)
@@ -46,15 +46,68 @@ def test_well_founded_matches_oracle(program):
     assert well_founded(program) == oracle_well_founded(program)
 
 
+def _cycle(nodes):
+    return [(u, nodes[(i + 1) % len(nodes)]) for i, u in enumerate(nodes)]
+
+
+def _search_stats(caplog, g):
+    """The debug record's dict for the 3-colouring of ``g``."""
+    caplog.set_level(logging.DEBUG, logger="aspnf")
+    caplog.clear()
+    program = encode_3col(g)
+    answers = len(enumerate_answer_sets(program, max_atoms=len(program.atoms)))
+    [record] = [r for r in caplog.records if r.name == "aspnf"]
+    assert record.args["answers"] == answers
+    return record.args
+
+
 def test_search_record(caplog):
     # 3-colourings of the cycle C_n: fewer than 3 search nodes per answer.
-    caplog.set_level(logging.DEBUG, logger="aspnf")
     for n in (6, 8, 10):
-        caplog.clear()
-        program = encode_3col(graph(range(n), [(i, (i + 1) % n) for i in range(n)]))
-        answers = len(enumerate_answer_sets(program, max_atoms=8 * n))
-        [record] = [r for r in caplog.records if r.name == "aspnf"]
-        stats = record.args
+        stats = _search_stats(caplog, graph(range(n), _cycle(list(range(n)))))
         assert stats["atoms"] == 8 * n and stats["rules"] == 11 * n
-        assert stats["answers"] == answers == 2**n + 2
-        assert stats["conflicts"] < stats["nodes"] < 3 * answers, stats
+        assert stats["components"] == 1
+        assert stats["answers"] == 2**n + 2
+        assert stats["conflicts"] < stats["nodes"] < 3 * stats["answers"], stats
+
+
+def test_search_record_of_disjoint_components(caplog):
+    # Two C4 and an isolated node: 18 * 18 * 3 answers, searched as
+    # three components with 18, 18 and 3 answers.
+    g = graph(range(9), _cycle([0, 1, 2, 3]) + _cycle([4, 5, 6, 7]))
+    stats = _search_stats(caplog, g)
+    assert stats["components"] == 3
+    assert stats["answers"] == 972
+    assert stats["rules"] == 6 * 9 + 5 * 8
+    assert stats["nodes"] < 3 * (18 + 18 + 3), stats
+
+
+def test_uncolourable_first_component_ends_the_search(caplog):
+    # K4 on nodes 0-3, whose rules come first, then C10 on nodes 4-13.
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    stats = _search_stats(caplog, graph(range(14), k4 + _cycle(list(range(4, 14)))))
+    assert stats["components"] == 2
+    assert stats["answers"] == 0
+    assert stats["nodes"] < 50, stats
+
+
+EVEN_LOOP = Program((Rule("x0", (neg("x1"),)), Rule("x1", (neg("x0"),))))
+ODD_LOOP = Program((Rule("x0", (neg("x0"),)),))
+
+
+@given(programs(max_atoms=6), programs(max_atoms=6))
+@example(EVEN_LOOP, ODD_LOOP)
+@example(ODD_LOOP, EVEN_LOOP)
+def test_disjoint_union_is_the_product_of_its_parts(first, second):
+    # The second part's atoms are renamed from x* to y*, so the parts
+    # share no atom.
+    second = rename_atoms(second, {a: "y" + a[1:] for a in second.atoms})
+    union = Program(first.rules + second.rules)
+    product = {
+        a | b
+        for a in enumerate_answer_sets(first)
+        for b in enumerate_answer_sets(second)
+    }
+    answers = list(enumerate_answer_sets(union))
+    assert set(answers) == product and len(answers) == len(product)
+    assert answers == oracle_answer_sets(union)
