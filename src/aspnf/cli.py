@@ -12,6 +12,7 @@ answer-set enumeration cap; an explicit ``--max-atoms`` beats both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,7 +217,10 @@ def _add_max_atoms(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="aspnf",
         description="Normal forms and reference semantics for answer-set programs.",

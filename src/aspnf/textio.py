@@ -18,7 +18,8 @@ grammar that ``build_program`` also enforces.
 ``%`` starts a comment running to the end of the line and whitespace is
 insignificant. Predicate-style atoms are flattened to a single name,
 e.g. ``color(0, red)`` becomes the atom ``color(0,red)``. ``not`` is a
-keyword and cannot be used as an atom name.
+keyword and cannot be used as an atom name. Atom lists
+(``split_atom_list``) follow the same ``ATOM`` rule.
 
 A headless rule ``:- BODY.`` is accepted as shorthand for the two-rule
 constraint idiom: it parses to ``__c_k :- not __c_k, BODY.`` with a
@@ -34,21 +35,53 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import AspnfError, ReservedAtomError
 from .model import (
     ARG,
     NAME,
+    Literal,
     Program,
     Rule,
     build_dependency_graph,
     fresh_tags,
     is_reserved,
     neg,
-    pos,
 )
 
-_TRIVIA = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
+# Whitespace and comments. A comment must reach the end of its line, so
+# backtracking in the patterns below can never shorten one.
+_T = r"[ \t\r\n]*(?:%[^\n]*(?![^\n])[ \t\r\n]*)*"
+_TRIVIA = re.compile(_T)
+_BLANK = re.compile(r"[ \t\r\n]+|%[^\n]*")
+_NOT = r"not(?![A-Za-z0-9_])"
+_ARG = rf"{_T}(?:{ARG.pattern}){_T}"
+
+
+def _atom(excluded: str) -> str:
+    """ATOM, skipping names that start with ``excluded``."""
+    return (
+        rf"(?!{excluded})(?P<name>{NAME.pattern})"
+        rf"(?:{_T}(?P<args>\({_ARG}(?:,{_ARG})*\)))?"
+    )
+
+
+# Indexed by ``allow_reserved``. One match per rule head and one per
+# body literal, each taking in the trivia before it and the separator
+# after it. Names the patterns skip are left to ``_locate``.
+_EXCLUDED = (f"{_NOT}|__", _NOT)
+_RULE_START = tuple(
+    re.compile(
+        rf"{_T}(?:(?P<atom>{_atom(x)}){_T}(?P<sep>\.|:-)|(?P<constraint>:-)|\Z)"
+    )
+    for x in _EXCLUDED
+)
+_LITERAL = tuple(
+    re.compile(rf"{_T}(?P<lit>(?P<neg>{_NOT}{_T})?{_atom(x)}){_T}(?P<sep>[,.])")
+    for x in _EXCLUDED
+)
+_LIST_ENTRY = re.compile(rf"{_T}(?:{_atom(_NOT)}{_T})?(?:(?P<comma>,)|\Z)")
 _GUARD_NAME = re.compile(r"__c_(\d+)")
 
 
@@ -69,72 +102,47 @@ class ParseError(AspnfError):
         self.reason = message
 
 
-class _Scanner:
-    """Tracks only an offset; line and column are derived on error."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.token_end = 0
-
-    def span(self, offset: int | None = None) -> SourceSpan:
-        if offset is None:
-            offset = self.pos
-        line_start = self.text.rfind("\n", 0, offset) + 1
-        return SourceSpan(
-            self.text.count("\n", 0, offset) + 1, offset - line_start + 1
-        )
-
-    def error(self, message: str) -> None:
-        raise ParseError(message, self.span())
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def skip_trivia(self) -> None:
-        self.pos = _TRIVIA.match(self.text, self.pos).end()
-
-    def try_symbol(self, symbol: str) -> bool:
-        if self.text.startswith(symbol, self.pos):
-            self.pos = self.token_end = self.pos + len(symbol)
-            return True
-        return False
-
-    def match(self, pattern: re.Pattern[str]) -> str | None:
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = self.token_end = m.end()
-        return m.group()
-
-
 def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
     """Parse program text; see the module docstring for the grammar."""
-    sc = _Scanner(text)
+    match_head = _RULE_START[allow_reserved].match
+    match_literal = _LITERAL[allow_reserved].match
     rules: list[Rule] = []
     # indices of ":- body." rules; their guards are named once every
     # atom of the input is known
     constraints: list[int] = []
+    # literal text as matched -> its Literal, shared within this parse
+    literals: dict[str, Literal] = {}
+    pos = 0
     while True:
-        sc.skip_trivia()
-        if sc.eof():
+        m = match_head(text, pos)
+        if m is None:
+            _locate(text, pos, True, allow_reserved)
+        atom, name, args, sep, constraint = m.groups()
+        pos = m.end()
+        if atom is not None:
+            head = _flat(name, args)
+            if sep == ".":
+                rules.append(Rule(head))
+                continue
+        elif constraint is None:
             break
-        if sc.try_symbol(":-"):
-            body = _parse_body(sc, allow_reserved)
-            _expect_dot(sc)
-            constraints.append(len(rules))
-            rules.append(Rule("", body))
-            continue
-        head = _parse_atom(sc, allow_reserved)
-        sc.skip_trivia()
-        if sc.try_symbol("."):
-            rules.append(Rule(head))
-        elif sc.try_symbol(":-"):
-            body = _parse_body(sc, allow_reserved)
-            _expect_dot(sc)
-            rules.append(Rule(head, body))
         else:
-            sc.error("expected '.' or ':-'")
+            head = ""
+            constraints.append(len(rules))
+        body: list[Literal] = []
+        while True:
+            m = match_literal(text, pos)
+            if m is None:
+                _locate(text, pos, False, allow_reserved)
+            key, negated, name, args, sep = m.groups()
+            lit = literals.get(key)
+            if lit is None:
+                lit = literals[key] = Literal(_flat(name, args), negated is not None)
+            body.append(lit)
+            pos = m.end()
+            if sep == ".":
+                break
+        rules.append(Rule(head, tuple(body)))
     if constraints:
         atoms = {rule.head for rule in rules}
         atoms.update(lit.atom for rule in rules for lit in rule.body)
@@ -145,94 +153,85 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
     return Program(tuple(rules))
 
 
-def _expect_dot(sc: _Scanner) -> None:
-    sc.skip_trivia()
-    if not sc.try_symbol("."):
-        # at end of input, point at the end of the rule rather than
-        # past the trailing whitespace
-        offset = sc.token_end if sc.eof() else sc.pos
-        raise ParseError("expected '.'", sc.span(offset))
+def _flat(name: str, args: str | None) -> str:
+    """``color(0, red)`` as the single atom ``color(0,red)``."""
+    return name if args is None else name + _BLANK.sub("", args)
 
 
-def _parse_body(sc: _Scanner, allow_reserved: bool):
-    literals = [_parse_literal(sc, allow_reserved)]
-    while True:
-        sc.skip_trivia()
-        if not sc.try_symbol(","):
-            return tuple(literals)
-        literals.append(_parse_literal(sc, allow_reserved))
+def _span(text: str, offset: int) -> SourceSpan:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _parse_literal(sc: _Scanner, allow_reserved: bool):
-    sc.skip_trivia()
-    m = NAME.match(sc.text, sc.pos)
-    if m is not None and m.group() == "not":
-        sc.pos = m.end()
-        return neg(_parse_atom(sc, allow_reserved))
-    return pos(_parse_atom(sc, allow_reserved))
+def _fail(message: str, text: str, offset: int) -> NoReturn:
+    raise ParseError(message, _span(text, offset))
 
 
-def _parse_atom(sc: _Scanner, allow_reserved: bool) -> str:
-    sc.skip_trivia()
-    start = sc.pos
-    name = sc.match(NAME)
-    if name is None:
-        sc.error("expected atom")
-    if name == "not":
-        raise ParseError("'not' is a keyword, not an atom", sc.span(start))
-    if is_reserved(name) and not allow_reserved:
-        span = sc.span(start)
+def _locate(text: str, pos: int, head: bool, allow_reserved: bool) -> NoReturn:
+    """Re-walk the rule head or body literal at ``pos`` token by token
+    and raise the first error in it; called only when its pattern did
+    not match."""
+
+    def skip(offset: int) -> int:
+        return _TRIVIA.match(text, offset).end()
+
+    pos = skip(pos)
+    m = NAME.match(text, pos)
+    if not head and m is not None and m.group() == "not":
+        pos = skip(m.end())
+        m = NAME.match(text, pos)
+    if m is None:
+        _fail("expected atom", text, pos)
+    if m.group() == "not":
+        _fail("'not' is a keyword, not an atom", text, pos)
+    if is_reserved(m.group()) and not allow_reserved:
+        span = _span(text, pos)
         raise ReservedAtomError(
             f"line {span.line}, column {span.column}: "
-            f"atom {name!r} uses the reserved '__' prefix"
+            f"atom {m.group()!r} uses the reserved '__' prefix"
         )
-    sc.skip_trivia()
-    if not sc.try_symbol("("):
-        return name
-    args = [_parse_arg(sc)]
-    while True:
-        sc.skip_trivia()
-        if sc.try_symbol(","):
-            args.append(_parse_arg(sc))
-        elif sc.try_symbol(")"):
-            return f"{name}({','.join(args)})"
-        else:
-            sc.error("expected ',' or ')'")
-
-
-def _parse_arg(sc: _Scanner) -> str:
-    sc.skip_trivia()
-    arg = sc.match(ARG)
-    if arg is None:
-        sc.error("expected argument")
-    return arg
+    end = m.end()
+    pos = skip(end)
+    if text.startswith("(", pos):
+        while True:
+            pos = skip(pos + 1)
+            m = ARG.match(text, pos)
+            if m is None:
+                _fail("expected argument", text, pos)
+            pos = skip(m.end())
+            if text.startswith(")", pos):
+                end = pos + 1
+                pos = skip(end)
+                break
+            if not text.startswith(",", pos):
+                _fail("expected ',' or ')'", text, pos)
+    if head:
+        _fail("expected '.' or ':-'", text, pos)
+    # at end of input, point at the end of the rule rather than past the
+    # trailing whitespace
+    _fail("expected '.'", text, end if pos == len(text) else pos)
 
 
 def split_atom_list(text: str) -> list[str]:
-    """Split a comma-separated atom list, honoring parentheses.
+    """Split a comma-separated list of atoms, each read by the ``ATOM``
+    rule of the program grammar.
 
-    ``color(0,red), b`` yields ``["color(0,red)", "b"]``. Surrounding
-    whitespace is stripped and empty entries dropped; unbalanced
-    parentheses raise :class:`AspnfError`.
+    ``color(0, red), b`` yields ``["color(0,red)", "b"]``. Empty entries
+    are dropped; a malformed entry raises :class:`AspnfError`.
     """
     atoms: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text + ",":
-        if ch == "," and depth == 0:
-            atom = "".join(current).strip()
-            if atom:
-                atoms.append(atom)
-            current = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        current.append(ch)
-    if depth != 0:
-        raise AspnfError(f"unbalanced parentheses in atom list: {text!r}")
-    return atoms
+    pos = 0
+    while True:
+        m = _LIST_ENTRY.match(text, pos)
+        if m is None:
+            column = _TRIVIA.match(text, pos).end() + 1
+            raise AspnfError(f"malformed atom list {text!r} at column {column}")
+        name, args, comma = m.groups()
+        if name is not None:
+            atoms.append(_flat(name, args))
+        if comma is None:
+            return atoms
+        pos = m.end()
 
 
 def render_program(program: Program) -> str:

@@ -1,4 +1,10 @@
+import glob
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +277,74 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys, argv):
     path.write_bytes("a :- not b.\n% caf\xe9\n".encode("latin-1"))
     assert main(argv + [str(path)]) == 3
     _assert_clean_error(capsys)
+
+
+def _assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_antichain2kernel_rejects_malformed_atoms(tmp_path, capsys):
+    path = tmp_path / "bad.ac"
+    path.write_text("#universe A b, c d.\nA b.\n")
+    assert main(["antichain2kernel", str(path)]) == 3
+    _assert_one_error_line(capsys)
+
+
+def test_equiv_over_rejects_malformed_atoms(pi5_file, capsys):
+    assert main(["equiv", pi5_file, pi5_file, "--over", "a, B c"]) == 3
+    _assert_one_error_line(capsys)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_run(argv, python=sys.executable):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [python, "-m", "aspnf", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_calls_of_main_share_no_state(pi6_file, capsys):
+    sequence = [
+        ["gen-kernel", "--atoms", "0", "--rules", "1"],
+        ["solve", pi6_file, "--json"],
+        ["solve", pi6_file],
+        ["gen-kernel", "--atoms", "3", "--rules", "4", "--seed", "5"],
+        ["gen-kernel", "--atoms", "0", "--rules", "1"],
+        ["solve", pi6_file],
+    ]
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = _fresh_run(argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def _python_3_10():
+    candidates = [shutil.which("python3.10")]
+    pyenv = os.path.expanduser("~/.pyenv/versions/3.10*/bin/python")
+    candidates += sorted(glob.glob(pyenv))
+    for python in filter(None, candidates):
+        check = subprocess.run([python, "-c", "pass"], capture_output=True)
+        if check.returncode == 0:
+            return python
+    return None
+
+
+def test_runs_on_python_3_10(pi6_file, tmp_path):
+    python = _python_3_10()
+    if python is None:
+        pytest.skip("no Python 3.10 interpreter")
+    solved = _fresh_run(["solve", pi6_file], python)
+    assert (solved.returncode, solved.stdout, solved.stderr) == (0, "b, q\n", "")
+    path = tmp_path / "noisy.lp"
+    path.write_text("% colours\nred :- not color( 0 , % c\n blue).\nb.\n")
+    parsed = _fresh_run(["parse", str(path)], python)
+    assert parsed.returncode == 0, parsed.stderr
+    assert parsed.stdout == "red :- not color(0,blue).\nb.\n"

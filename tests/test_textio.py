@@ -1,8 +1,11 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aspnf import (
+    AspnfError,
     ParseError,
     Program,
     ReservedAtomError,
@@ -14,7 +17,9 @@ from aspnf import (
     pos,
     render_program,
 )
+from aspnf.textio import split_atom_list
 from conftest import PI5_TEXT, PI6_TEXT, oracle_answer_sets, random_general_program
+from test_search import programs
 
 
 def test_parse_self_loop():
@@ -120,6 +125,14 @@ def test_constraint_guard_skips_names_in_input():
             3,
             "atom '__x' uses the reserved '__' prefix",
         ),
+        # a comment runs to the end of its line, never shorter
+        ("%c\n.", ParseError, 2, 1, "expected atom"),
+        # "not" ends where NAME ends, and NAME has no non-ASCII letters
+        ("a :- not\u00e4.", ParseError, 1, 9, "expected atom"),
+        ("a :- not.", ParseError, 1, 9, "expected atom"),
+        ("p(__x).", ParseError, 1, 3, "expected argument"),
+        ("p(12x).", ParseError, 1, 5, "expected ',' or ')'"),
+        ("p(a,)", ParseError, 1, 5, "expected argument"),
     ],
 )
 def test_error_spans(text, error, line, column, message):
@@ -158,6 +171,8 @@ def test_round_trip_with_reserved_atoms():
 def test_whitespace_and_comments_insignificant(pi6):
     noisy = PI6_TEXT.replace("\n", "  % noise\n\n").replace(":-", "  :-  ")
     assert parse_program(noisy) == pi6
+    assert render_program(parse_program("p( a % c\n , 1 ).")) == "p(a,1).\n"
+    assert render_program(parse_program("a :- b % c.\n, d.")) == "a :- b, d.\n"
 
 
 def test_export_dot_empty():
@@ -211,3 +226,39 @@ def test_round_trip_random_programs():
     for _ in range(30):
         program = random_general_program(rng, 6, 8)
         assert parse_program(render_program(program)) == program
+
+
+@given(programs())
+def test_render_then_parse_is_identity(program):
+    assert parse_program(render_program(program), allow_reserved=True) == program
+
+
+# The grammar's alphabet: names, the keyword, reserved names, numbers,
+# symbols, comments, whitespace and one letter outside NAME.
+TOKENS = [
+    "a", "b1", "color", "x_y", "not", "__x", "__c_0", "0", "12",
+    ":-", ".", ",", "(", ")", "% c\n", "%", " ", "\n", "\t", "\u00e4",
+]
+
+
+@given(st.lists(st.sampled_from(TOKENS), max_size=30).map("".join), st.booleans())
+def test_parser_outcome_on_token_soup(text, allow_reserved):
+    try:
+        assert isinstance(parse_program(text, allow_reserved=allow_reserved), Program)
+        return
+    except ParseError as exc:
+        line, column = exc.span.line, exc.span.column
+    except ReservedAtomError as exc:
+        prefix = re.match(r"line (\d+), column (\d+): ", str(exc))
+        line, column = int(prefix[1]), int(prefix[2])
+    lines = text.split("\n")
+    assert 1 <= line <= len(lines)
+    assert 1 <= column <= len(lines[line - 1]) + 1
+
+
+def test_split_atom_list_reads_atoms_like_programs():
+    assert split_atom_list(" color(0, red), b,, ") == ["color(0,red)", "b"]
+    assert split_atom_list("") == []
+    for text in ["A b, c", "a b", "not", "p(0", "a; b"]:
+        with pytest.raises(AspnfError):
+            split_atom_list(text)
