@@ -4,9 +4,6 @@ Exit codes: 0 for success (consistent, form holds, equivalent), 1 for a
 negative check result (no answer set, form violated, not equivalent),
 2 for usage errors, 3 for input errors (unreadable files, syntax
 errors, enumeration caps).
-
-The environment variable ``ASPNF_MAX_ATOMS`` overrides the default
-answer-set enumeration cap; an explicit ``--max-atoms`` beats both.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .errors import AspnfError
@@ -30,8 +26,6 @@ from .model import Program
 from .normalize import check_3kernel, three_kernelize, trace_to_dict
 from .semantics import enumerate_answer_sets, well_founded
 from .textio import export_dot, parse_program, render_program, split_atom_list
-
-ENV_MAX_ATOMS = "ASPNF_MAX_ATOMS"
 
 
 def _read_text(path: str) -> str:
@@ -49,18 +43,6 @@ def _read_program(args: argparse.Namespace, attr: str = "file") -> Program:
     return parse_program(_read_text(getattr(args, attr)), allow_reserved=allow)
 
 
-def _max_atoms(args: argparse.Namespace) -> int | None:
-    if getattr(args, "max_atoms", None) is not None:
-        return args.max_atoms
-    env = os.environ.get(ENV_MAX_ATOMS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise AspnfError(f"{ENV_MAX_ATOMS} must be an integer, got {env!r}") from exc
-    return None
-
-
 def _format_set(atoms) -> str:
     return ", ".join(sorted(atoms))
 
@@ -76,7 +58,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     program = _read_program(args)
-    collection = enumerate_answer_sets(program, _max_atoms(args))
+    collection = enumerate_answer_sets(program, args.max_atoms)
     if args.json:
         print(json.dumps([sorted(s) for s in collection]))
     else:
@@ -111,7 +93,7 @@ def _cmd_3kernel_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
-    result, universe = kernelize(_read_program(args), _max_atoms(args))
+    result, universe = kernelize(_read_program(args), args.max_atoms)
     print(f"% universe: {_format_set(universe)}")
     print(render_program(result), end="")
     return 0
@@ -125,11 +107,11 @@ def _cmd_antichain2kernel(args: argparse.Namespace) -> int:
 
 def _cmd_3kernelize(args: argparse.Namespace) -> int:
     result, trace = three_kernelize(_read_program(args))
-    print(render_program(result), end="")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             json.dump(trace_to_dict(trace), handle, indent=2)
             handle.write("\n")
+    print(render_program(result), end="")
     return 0
 
 
@@ -174,7 +156,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     first = _read_program(args, "file1")
     second = _read_program(args, "file2")
     atoms = frozenset(split_atom_list(args.over))
-    same = equivalent_mod_projection(first, second, atoms, _max_atoms(args))
+    same = equivalent_mod_projection(first, second, atoms, args.max_atoms)
     print("equivalent" if same else "not equivalent")
     return 0 if same else 1
 

@@ -1,4 +1,4 @@
-"""Cycle detection, handle extraction, rule classification, and bridges.
+"""Cycle detection, handle extraction, and bridges.
 
 A cycle is a set of rules ``x1 :- not x2, D1. ... xn :- not x1, Dn.``
 over distinct atoms; each extra conjunction ``Di`` (which may not
@@ -11,14 +11,14 @@ handle and ending at an atom defined in some other cycle. Bridges are
 only recognized under side conditions that make their atom values fully
 determined by the target atom: every intermediate atom must have
 exactly one defining rule and occur in exactly one rule body.
-Chains that violate the side conditions are left unclassified rather
-than being eliminated unsoundly.
+Chains that violate the side conditions are not reported as bridges
+rather than being eliminated unsoundly.
 
 Cycles are enumerated without recursion: Tarjan's algorithm splits the
 graph of cycle steps into strongly connected components, and Johnson's
 algorithm lists the elementary circuits through the least atom of a
 component before that atom is removed and the rest is split again.
-What the form checks, rule tags and bridge search read from the cycles
+What the form checks, rewrites and bridge search read from the cycles
 is gathered once per program into a :class:`StructuralIndex`.
 """
 
@@ -36,11 +36,6 @@ from .model import Literal, Program, Rule, neg
 #: Default cap on the number of enumerated cycles (they may overlap,
 #: and witness combinations multiply).
 DEFAULT_MAX_CYCLES = 10_000
-
-TAG_IN_CYCLE = "in-cycle"
-TAG_AUXILIARY = "auxiliary"
-TAG_BRIDGE_STEP = "bridge-step"
-TAG_UNCLASSIFIED = "unclassified"
 
 OR_BRIDGE = "OR"
 AND_BRIDGE = "AND"
@@ -139,16 +134,6 @@ class Bridge:
         return self.length % 2 == 0
 
 
-@dataclass(frozen=True)
-class RuleClassification:
-    """Map from each rule to its structural tags."""
-
-    tags: dict[Rule, frozenset[str]]
-
-    def rules_tagged(self, tag: str) -> tuple[Rule, ...]:
-        return tuple(rule for rule, tags in self.tags.items() if tag in tags)
-
-
 def find_cycles(
     program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
 ) -> tuple[Cycle, ...]:
@@ -178,7 +163,7 @@ def find_cycles(
         for combo in itertools.product(*options):
             if len(cycles) >= max_cycles:
                 raise CycleCapExceededError(
-                    f"more than {max_cycles} cycles; raise max_cycles to proceed"
+                    f"more than {max_cycles} cycles (the cycle cap)"
                 )
             cycles.append(Cycle(tuple(atom_cycle), tuple(combo)))
 
@@ -351,19 +336,10 @@ def find_or_handles(
     return StructuralIndex(program, cycles).or_handles(cycle)
 
 
-def find_bridges(
-    program: Program,
-    cycles: tuple[Cycle, ...] | None = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> tuple[Bridge, ...]:
+def find_bridges(program: Program) -> tuple[Bridge, ...]:
     """All maximal handle chains satisfying the bridge side conditions,
     ordered by (anchor atom, target atom, chain atoms)."""
-    if cycles is None:
-        cycles = find_cycles(program, max_cycles)
-    return _bridges(program, StructuralIndex(program, cycles))
-
-
-def _bridges(program: Program, index: StructuralIndex) -> tuple[Bridge, ...]:
+    index = StructuralIndex(program, find_cycles(program))
     in_cycle_atoms = index.in_cycle_atoms
     defining: dict[str, list[Rule]] = defaultdict(list)
     body_count: Counter[str] = Counter()
@@ -431,107 +407,3 @@ def _bridges(program: Program, index: StructuralIndex) -> tuple[Bridge, ...]:
 
     bridges.sort(key=lambda b: (b.anchor_atom, b.target_atom, b.chain_atoms))
     return tuple(bridges)
-
-
-def classify_rules(
-    program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> RuleClassification:
-    """Tag every rule: in-cycle, auxiliary, bridge-step, or unclassified."""
-    index = StructuralIndex(program, find_cycles(program, max_cycles))
-    bridge_steps = {
-        rule for bridge in _bridges(program, index) for rule in bridge.chain
-    }
-    tags: dict[Rule, frozenset[str]] = {}
-    for rule in program.rules:
-        assigned = set()
-        if rule in index.in_cycle_rules:
-            assigned.add(TAG_IN_CYCLE)
-        if index.is_auxiliary(rule):
-            assigned.add(TAG_AUXILIARY)
-        if rule in bridge_steps:
-            assigned.add(TAG_BRIDGE_STEP)
-        if not assigned:
-            assigned.add(TAG_UNCLASSIFIED)
-        tags[rule] = frozenset(assigned)
-    return RuleClassification(tags)
-
-
-def analysis_to_dict(program: Program, max_cycles: int = DEFAULT_MAX_CYCLES) -> dict:
-    """Cycle/handle/bridge report as a JSON-serializable document."""
-    index = StructuralIndex(program, find_cycles(program, max_cycles))
-    report: dict = {"cycles": [], "bridges": []}
-    for cycle in index.cycles:
-        report["cycles"].append(
-            {
-                "kind": "cycle",
-                "atoms": list(cycle.atoms),
-                "length": cycle.size,
-                "parity": "even" if cycle.is_even else "odd",
-                "handles": [
-                    {
-                        "kind": "and-handle",
-                        "atom": cycle.atoms[i],
-                        "literals": [str(lit) for lit in delta],
-                    }
-                    for i, delta in cycle.and_handles
-                ]
-                + [
-                    {
-                        "kind": "or-handle",
-                        "atom": oh.target,
-                        "literals": [str(lit) for lit in oh.handle],
-                    }
-                    for oh in index.or_handles(cycle)
-                ],
-                "rules": [str(rule) for rule in cycle.rules],
-            }
-        )
-    for bridge in _bridges(program, index):
-        report["bridges"].append(
-            {
-                "kind": "or-bridge" if bridge.kind == OR_BRIDGE else "and-bridge",
-                "atoms": list(bridge.chain_atoms),
-                "length": bridge.length,
-                "parity": "even" if bridge.is_even else "odd",
-                "anchor": bridge.anchor_atom,
-                "target": bridge.target_atom,
-                "rules": [str(rule) for rule in bridge.chain],
-            }
-        )
-    return report
-
-
-def export_analysis_dot(
-    program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> str:
-    """DOT rendering with one cluster per cycle.
-
-    An atom in several cycles is drawn inside the first one only (DOT
-    clusters cannot share nodes); all dependency edges are drawn.
-    """
-    from .model import build_dependency_graph
-
-    def quote(name: str) -> str:
-        return '"' + name.replace('"', '\\"') + '"'
-
-    cycles = find_cycles(program, max_cycles)
-    graph = build_dependency_graph(program)
-    placed: set[str] = set()
-    lines = ["digraph G {\n"]
-    for number, cycle in enumerate(cycles):
-        fresh = [a for a in cycle.atoms if a not in placed]
-        if not fresh:
-            continue
-        lines.append(f"  subgraph cluster_{number} {{\n")
-        lines.append(f'    label="cycle {number}";\n')
-        for atom in fresh:
-            lines.append(f"    {quote(atom)};\n")
-            placed.add(atom)
-        lines.append("  }\n")
-    for atom in sorted(graph.vertices - placed):
-        lines.append(f"  {quote(atom)};\n")
-    for source, target, negated in sorted(graph.edges):
-        style = " [style=dashed]" if negated else ""
-        lines.append(f"  {quote(source)} -> {quote(target)}{style};\n")
-    lines.append("}\n")
-    return "".join(lines)

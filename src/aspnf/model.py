@@ -148,9 +148,6 @@ class DependencyGraph:
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str, bool]]  # (from, to, negated)
 
-    def negative_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a, b, negated in self.edges if negated)
-
 
 def build_dependency_graph(program: Program) -> DependencyGraph:
     edges: set[tuple[str, str, bool]] = set()
@@ -158,11 +155,3 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
         for lit in rule.body:
             edges.add((rule.head, lit.atom, lit.negated))
     return DependencyGraph(program.atoms, frozenset(edges))
-
-
-def is_purely_negative(program: Program) -> bool:
-    """True iff no rule is a fact and every body literal is negated."""
-    return all(
-        rule.body and all(lit.negated for lit in rule.body)
-        for rule in program.rules
-    )

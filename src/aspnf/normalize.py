@@ -30,7 +30,6 @@ from typing import Iterable
 
 from .cycles import (
     AND_BRIDGE,
-    DEFAULT_MAX_CYCLES,
     OR_BRIDGE,
     Bridge,
     StructuralIndex,
@@ -77,11 +76,9 @@ class ThreeKernelReport:
         return frozenset(v.condition for v in self.violations)
 
 
-def check_3kernel(
-    program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> ThreeKernelReport:
+def check_3kernel(program: Program) -> ThreeKernelReport:
     """Check all six 3-kernel conditions, reporting every violation."""
-    index = StructuralIndex(program, find_cycles(program, max_cycles))
+    index = StructuralIndex(program, find_cycles(program))
 
     violations: list[ThreeKernelViolation] = []
     wfs = well_founded(program)
@@ -173,9 +170,7 @@ def _guard_cycle(conditions: list[str], tag: int) -> tuple[list[Rule], list[str]
     return rules, atoms
 
 
-def long_rule_simplify(
-    program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> tuple[Program, TransformTrace]:
+def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
     """Replace every long negative body with a fresh cycle.
 
     A rule ``h :- not b_1, ..., not b_j`` is long when it is auxiliary
@@ -213,7 +208,7 @@ def long_rule_simplify(
             "long_rule_simplify requires kernel form; violations: "
             + ", ".join(v.condition for v in report.violations)
         )
-    index = StructuralIndex(program, find_cycles(program, max_cycles))
+    index = StructuralIndex(program, find_cycles(program))
     tags = fresh_tags(program.atoms, _FRESH_NAME)
 
     out: list[Rule] = []
@@ -339,9 +334,7 @@ def simplify_and_bridge(
     return _replace_bridge(program, bridge, replacement)
 
 
-def three_kernelize(
-    program: Program, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> tuple[Program, TransformTrace]:
+def three_kernelize(program: Program) -> tuple[Program, TransformTrace]:
     """Long-rule simplification once, then bridge simplification to a
     fixpoint. Requires kernel form.
 
@@ -352,10 +345,10 @@ def three_kernelize(
     structure that the rewrites cannot reach is reported by
     ``check_3kernel`` rather than asserted away.
     """
-    result, trace = long_rule_simplify(program, max_cycles)
+    result, trace = long_rule_simplify(program)
     steps = list(trace.steps)
     while True:
-        bridges = find_bridges(result, max_cycles=max_cycles)
+        bridges = find_bridges(result)
         if not bridges:
             break
         bridge = bridges[0]

@@ -133,12 +133,6 @@ def well_founded(program: Program) -> WfsResult:
     )
 
 
-def is_wfs_irreducible(program: Program) -> bool:
-    """True iff the well-founded model leaves every atom undefined."""
-    wfs = well_founded(program)
-    return not wfs.true_atoms and not wfs.false_atoms
-
-
 @dataclass(frozen=True)
 class AnswerSetCollection:
     """Answer sets in enumeration order: by size, then sorted atom names.

@@ -14,3 +14,22 @@ def test_program_level_reduct_route_is_gone():
     for name in ("gl_reduct", "least_model", "NegativeBodyError"):
         assert name not in aspnf.__all__
         assert not hasattr(aspnf, name)
+
+
+def test_test_only_structural_api_is_gone():
+    deleted = (
+        "classify_rules",
+        "RuleClassification",
+        "TAG_IN_CYCLE",
+        "TAG_AUXILIARY",
+        "TAG_BRIDGE_STEP",
+        "TAG_UNCLASSIFIED",
+        "analysis_to_dict",
+        "export_analysis_dot",
+        "is_purely_negative",
+        "is_wfs_irreducible",
+    )
+    for name in deleted:
+        assert name not in aspnf.__all__
+        assert not hasattr(aspnf, name), name
+    assert not hasattr(aspnf.DependencyGraph, "negative_edges")

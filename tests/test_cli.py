@@ -68,16 +68,6 @@ def test_solve_max_atoms_flag(tmp_path, capsys):
     assert main(["solve", str(path), "--max-atoms", "26"]) == 0
 
 
-def test_solve_env_cap(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "two.lp"
-    path.write_text("a :- not b.\nb :- not a.\n")
-    monkeypatch.setenv("ASPNF_MAX_ATOMS", "1")
-    assert main(["solve", str(path)]) == 3
-    capsys.readouterr()
-    # explicit flag beats the environment
-    assert main(["solve", str(path), "--max-atoms", "24"]) == 0
-
-
 def test_wfs_output(pi6_file, capsys):
     assert main(["wfs", pi6_file]) == 0
     assert capsys.readouterr().out == (
@@ -139,6 +129,17 @@ def test_3kernelize_with_trace(tmp_path, capsys):
     assert "p :- a." in out
     document = json.loads(trace_path.read_text())
     assert [step["kind"] for step in document["steps"]] == ["or-bridge-odd"]
+
+
+def test_3kernelize_unwritable_trace_prints_nothing(tmp_path, capsys):
+    source = tmp_path / "case2.lp"
+    source.write_text(CASE_II_TEXT)
+    trace_path = tmp_path / "missing" / "trace.json"
+    assert main(["3kernelize", str(source), "--trace", str(trace_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not trace_path.exists()
 
 
 def test_3kernelize_output_reparses(pi5_file, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -10,13 +9,7 @@ from aspnf import (
     AND_BRIDGE,
     CycleCapExceededError,
     OR_BRIDGE,
-    TAG_AUXILIARY,
-    TAG_BRIDGE_STEP,
-    TAG_IN_CYCLE,
-    TAG_UNCLASSIFIED,
-    analysis_to_dict,
-    classify_rules,
-    export_analysis_dot,
+    check_3kernel,
     find_bridges,
     find_cycles,
     find_or_handles,
@@ -25,6 +18,7 @@ from aspnf import (
     parse_program,
     random_kernel_program,
 )
+from aspnf.cycles import StructuralIndex
 
 
 def cycle_by_atoms(cycles, atoms):
@@ -39,7 +33,7 @@ def test_find_cycles_pi6(pi6):
     even = cycle_by_atoms(cycles, ("a", "b"))
     assert even.is_even and even.size == 2 and even.and_handles == ()
     loop_p = cycle_by_atoms(cycles, ("p",))
-    assert not loop_p.is_even
+    assert not loop_p.is_even and loop_p.size == 1
     assert loop_p.and_handles == ((0, (neg("b"),)),)
     loop_q = cycle_by_atoms(cycles, ("q",))
     assert loop_q.and_handles == ()
@@ -88,7 +82,8 @@ def test_cycle_cap():
     program = parse_program(
         "".join(f"x{i} :- not x{j}.\n" for i in range(5) for j in range(5) if i != j)
     )
-    with pytest.raises(CycleCapExceededError):
+    cap = r"more than 5 cycles \(the cycle cap\)"
+    with pytest.raises(CycleCapExceededError, match=cap):
         find_cycles(program, max_cycles=5)
 
 
@@ -174,25 +169,38 @@ def test_in_cycle_rule_is_not_auxiliary():
         assert find_or_handles(program, cycle, cycles) == ()
 
 
+def structural_index(program):
+    return StructuralIndex(program, find_cycles(program))
+
+
+def unindexed_rules(program):
+    """Rules in no cycle and auxiliary to none: the condition 3
+    witnesses of the 3-kernel check."""
+    return [
+        v.witness for v in check_3kernel(program).violations if v.condition == 3
+    ]
+
+
 def test_classify_pi6(pi6):
-    classification = classify_rules(pi6)
-    assert len(classification.rules_tagged(TAG_IN_CYCLE)) == 4
-    assert len(classification.rules_tagged(TAG_AUXILIARY)) == 1
-    assert classification.rules_tagged(TAG_UNCLASSIFIED) == ()
+    index = structural_index(pi6)
+    assert len(index.in_cycle_rules) == 4
+    auxiliary = [rule for rules in index.auxiliary.values() for rule in rules]
+    assert [str(r) for r in auxiliary] == ["q :- not a."]
+    assert unindexed_rules(pi6) == []
 
 
 def test_classify_case_i(case_i):
-    classification = classify_rules(case_i)
-    steps = classification.rules_tagged(TAG_BRIDGE_STEP)
-    assert {str(r) for r in steps} == {"e :- not f.", "f :- not a."}
-    assert classification.rules_tagged(TAG_UNCLASSIFIED) == ()
-    aux = classification.rules_tagged(TAG_AUXILIARY)
-    assert [str(r) for r in aux] == ["p :- not e."]
+    (bridge,) = find_bridges(case_i)
+    assert [str(r) for r in bridge.chain] == ["e :- not f.", "f :- not a."]
+    # the bridge steps are the only rules outside every cycle and handle
+    assert unindexed_rules(case_i) == list(bridge.chain)
+    index = structural_index(case_i)
+    assert [str(r) for r in index.auxiliary["p"]] == ["p :- not e."]
 
 
 def test_classify_acyclic_positive_rule():
-    classification = classify_rules(parse_program("a :- b."))
-    assert len(classification.rules_tagged(TAG_UNCLASSIFIED)) == 1
+    program = parse_program("a :- b.")
+    assert unindexed_rules(program) == list(program.rules)
 
 
 def test_bridges_case_i(case_i):
@@ -225,7 +233,7 @@ def test_bridges_case_iv(case_iv):
     (bridge,) = find_bridges(case_iv)
     assert bridge.kind == AND_BRIDGE
     assert bridge.chain_atoms == ("e", "f", "g")
-    assert not bridge.is_even
+    assert bridge.length == 3 and not bridge.is_even
 
 
 def test_no_bridges_in_pi6(pi6):
@@ -254,35 +262,6 @@ def test_bridge_requires_target_in_other_cycle():
     assert find_bridges(program) == ()
 
 
-def test_analysis_report_fields(pi6):
-    report = analysis_to_dict(pi6)
-    assert {c["kind"] for c in report["cycles"]} == {"cycle"}
-    parities = {tuple(c["atoms"]): c["parity"] for c in report["cycles"]}
-    assert parities[("a", "b")] == "even"
-    assert parities[("p",)] == "odd"
-    lengths = {tuple(c["atoms"]): c["length"] for c in report["cycles"]}
-    assert lengths[("a", "b")] == 2
-    json.dumps(report)  # serializable
-
-
-def test_analysis_report_bridges(case_iv):
-    report = analysis_to_dict(case_iv)
-    assert len(report["bridges"]) == 1
-    bridge = report["bridges"][0]
-    assert bridge["kind"] == "and-bridge"
-    assert bridge["atoms"] == ["e", "f", "g"]
-    assert bridge["parity"] == "odd"
-    assert bridge["length"] == 3
-    json.dumps(report)
-
-
-def test_analysis_dot_clusters(pi6):
-    dot = export_analysis_dot(pi6)
-    assert dot.startswith("digraph G {")
-    assert "subgraph cluster_0" in dot
-    assert dot.count(" -> ") == 6
-
-
 def test_cycle_rules_exist_in_program(pi5, pi6, case_i, case_ii, case_iii, case_iv):
     for program in (pi5, pi6, case_i, case_ii, case_iii, case_iv):
         for cycle in find_cycles(program):
@@ -291,6 +270,7 @@ def test_cycle_rules_exist_in_program(pi5, pi6, case_i, case_ii, case_iii, case_
 
 
 def test_classification_covers_program(pi5, pi6, case_i, case_iv):
+    # every rule is in a cycle, auxiliary to one, or a bridge step
     for program in (pi5, pi6, case_i, case_iv):
-        classification = classify_rules(program)
-        assert set(classification.tags) == set(program.rules)
+        steps = [rule for bridge in find_bridges(program) for rule in bridge.chain]
+        assert sorted(unindexed_rules(program)) == sorted(steps)

@@ -11,8 +11,6 @@ from aspnf import (
     encode_3col,
     enumerate_answer_sets,
     graph,
-    is_purely_negative,
-    is_wfs_irreducible,
     random_kernel_program,
 )
 
@@ -74,20 +72,14 @@ def test_encode_single_edge_six_answer_sets():
 
 def test_encode_output_is_kernel():
     for g in (graph([0, 1], [(0, 1)]), k_n(3), k_n(4), path(3)):
-        program = encode_3col(g)
-        assert is_purely_negative(program)
-        assert is_wfs_irreducible(program)
-        assert check_kernel(program).is_kernel
+        assert check_kernel(encode_3col(g)).is_kernel
 
 
 def test_encode_isolated_node_not_fully_kernel():
     # with no incident edge the n_color atoms occur in no rule body, so
     # only the weaker invariants hold for isolated nodes
     for g, isolated in ((graph([0], []), 0), (graph([0, 1, 2], [(0, 2)]), 1)):
-        program = encode_3col(g)
-        assert is_purely_negative(program)
-        assert is_wfs_irreducible(program)
-        report = check_kernel(program)
+        report = check_kernel(encode_3col(g))
         assert {v.condition for v in report.violations} == {
             "every-atom-in-some-body"
         }

@@ -8,7 +8,6 @@ from aspnf import (
     KernelFormError,
     ReconstructionError,
     TransformTrace,
-    build_dependency_graph,
     check_3kernel,
     check_kernel,
     enumerate_answer_sets,
@@ -167,7 +166,12 @@ def test_long_rule_guard_on_self_loop_with_conditions():
 
 def test_long_rule_output_preserves_dependency_parity(pi5):
     result, trace = long_rule_simplify(pi5)
-    edges = build_dependency_graph(result).negative_edges()
+    edges = {
+        (rule.head, lit.atom)
+        for rule in result.rules
+        for lit in rule.body
+        if lit.negated
+    }
 
     def negative_distance(source, target):
         frontier = {source}
