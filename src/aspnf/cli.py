@@ -195,7 +195,7 @@ def _add_allow_reserved(sub: argparse.ArgumentParser) -> None:
 
 def _add_max_atoms(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--max-atoms", type=int, default=None, help="enumeration cap override"
+        "--max-atoms", type=_positive_int, default=None, help="enumeration cap override"
     )
 
 

@@ -14,12 +14,23 @@ exactly one defining rule and occur in exactly one rule body.
 Chains that violate the side conditions are not reported as bridges
 rather than being eliminated unsoundly.
 
-Cycles are enumerated without recursion: Tarjan's algorithm splits the
-graph of cycle steps into strongly connected components, and Johnson's
-algorithm lists the elementary circuits through the least atom of a
-component before that atom is removed and the rest is split again.
-What the form checks, rewrites and bridge search read from the cycles
-is gathered once per program into a :class:`StructuralIndex`.
+Membership needs no cycle list. A rule witnesses the step ``h -> b``
+when its body has ``not b`` and the rest of the body does not mention
+``h``; it is in some cycle iff ``b == h`` or ``b`` lies in the strongly
+connected component of ``h`` in the graph of steps. So one witness pass
+and one Tarjan pass (iterative) give the in-cycle rules and atoms, the
+AND handles and the auxiliary rules, gathered per program into a
+:class:`StructuralIndex`; the long-rule rewrite and the bridge search
+read only that. Whether a bridge target lies in a cycle other than the
+anchor's is a component question too, except for a self-loop anchor
+``p :- not p, not c`` whose chain leads back to ``p`` (see
+:func:`find_bridges`).
+
+Only :func:`find_cycles` and condition 5 of the 3-kernel check list
+concrete cycles, from the same index: Johnson's algorithm lists the
+elementary circuits through the least atom of a component before that
+atom is removed and the rest is split again. Only they can hit the
+cycle cap.
 """
 
 from __future__ import annotations
@@ -104,12 +115,11 @@ class OrHandle:
 
 @dataclass(frozen=True)
 class Bridge:
-    """A handle chain from ``anchor_atom`` (in ``anchor_cycle``) to
+    """A handle chain from ``anchor_atom`` (in a cycle) to
     ``target_atom`` (in another cycle). ``chain[i]`` defines the i-th
     intermediate atom; parity counts the intermediates."""
 
     kind: str  # OR_BRIDGE or AND_BRIDGE
-    anchor_cycle: Cycle
     anchor_atom: str
     anchor_rule: Rule
     chain: tuple[Rule, ...]
@@ -143,50 +153,7 @@ def find_cycles(
 
     Raises :class:`CycleCapExceededError` past ``max_cycles``.
     """
-    witnesses: dict[tuple[str, str], list[Rule]] = defaultdict(list)
-    for rule in program.rules:
-        for lit in rule.body:
-            if not lit.negated:
-                continue
-            # the rest of the body must not mention the rule's own head
-            if any(o.atom == rule.head for o in rule.body if o != lit):
-                continue
-            witnesses[rule.head, lit.atom].append(rule)
-
-    cycles: list[Cycle] = []
-
-    def emit(atom_cycle: list[str]) -> None:
-        n = len(atom_cycle)
-        options = [
-            witnesses[atom_cycle[i], atom_cycle[(i + 1) % n]] for i in range(n)
-        ]
-        for combo in itertools.product(*options):
-            if len(cycles) >= max_cycles:
-                raise CycleCapExceededError(
-                    f"more than {max_cycles} cycles (the cycle cap)"
-                )
-            cycles.append(Cycle(tuple(atom_cycle), tuple(combo)))
-
-    successors: dict[str, list[str]] = defaultdict(list)
-    for source, target in witnesses:
-        if source == target:
-            emit([source])
-        else:
-            successors[source].append(target)
-    # Every longer cycle lies in one component; it is found from the
-    # component's least atom if it passes through it, and otherwise in
-    # a component of what is left once that atom is removed.
-    pending = _components(list(successors), successors)
-    while pending:
-        component = pending.pop()
-        start = min(component)
-        for atom_cycle in _circuits(start, set(component), successors):
-            emit(atom_cycle)
-        pending.extend(
-            _components([a for a in component if a != start], successors)
-        )
-    cycles.sort(key=lambda c: (c.size, c.atoms))
-    return tuple(cycles)
+    return StructuralIndex(program).cycles(max_cycles)
 
 
 def _components(
@@ -282,33 +249,72 @@ def _circuits(
 
 
 class StructuralIndex:
-    """Cycle membership and auxiliary rules of a program, gathered once
-    from one :func:`find_cycles` result.
+    """Cycle membership, AND handles and auxiliary rules of a program,
+    from one witness pass and one Tarjan pass, with no cycle listed.
 
-    ``cycles_through`` maps each atom to the cycles containing it, in
-    the order of ``cycles``; ``auxiliary`` maps each head to its
-    auxiliary rules, in program order.
+    A rule witnessing the step ``head -> b`` is in some cycle iff
+    ``b == head`` or ``b`` lies in the head's component: the shortest
+    path from ``b`` back to the head closes an elementary cycle, and
+    each witness of the step gives one. ``auxiliary`` maps each in-cycle
+    atom to its auxiliary rules, in program order; :attr:`handles` and
+    :meth:`cycles` (the concrete cycles) are computed from the same two
+    passes when asked for.
     """
 
-    def __init__(self, program: Program, cycles: tuple[Cycle, ...]) -> None:
-        self.cycles = cycles
-        through: dict[str, list[Cycle]] = defaultdict(list)
-        for cycle in cycles:
-            for atom in cycle.atoms:
-                through[atom].append(cycle)
-        self.cycles_through = {atom: tuple(found) for atom, found in through.items()}
-        self.in_cycle_atoms = frozenset(through)
-        self.in_cycle_rules = frozenset(rule for c in cycles for rule in c.rules)
+    def __init__(self, program: Program) -> None:
+        witnesses: dict[tuple[str, str], list[Rule]] = defaultdict(list)
+        for rule in program.rules:
+            for lit in rule.body:
+                # the rest of the body must not mention the rule's own head
+                if lit.negated and not any(
+                    o.atom == rule.head for o in rule.body if o != lit
+                ):
+                    witnesses[rule.head, lit.atom].append(rule)
+        successors: dict[str, list[str]] = defaultdict(list)
+        for source, target in witnesses:
+            if source != target:
+                successors[source].append(target)
+        self._witnesses = witnesses
+        self._successors = successors
+        self._components = _components(list(successors), successors)
+        # an atom outside every multi-atom component is its own key, so
+        # equal keys mean a self-loop or a step inside one component
+        key: dict[str, object] = {
+            atom: i
+            for i, component in enumerate(self._components)
+            for atom in component
+        }
+        self._cycle_steps = [
+            (step, rules)
+            for (head, step), rules in witnesses.items()
+            if key.get(head, head) == key.get(step, step)
+        ]
+        self.in_cycle_rules = frozenset(
+            rule for _step, rules in self._cycle_steps for rule in rules
+        )
+        self.in_cycle_atoms = frozenset(rule.head for rule in self.in_cycle_rules)
         auxiliary: dict[str, list[Rule]] = defaultdict(list)
         self._rank: dict[Rule, int] = {}
         for rule in program.rules:
-            if rule.head not in through or rule in self.in_cycle_rules:
+            if rule.head not in self.in_cycle_atoms or rule in self.in_cycle_rules:
                 continue
             if not rule.body or any(lit.atom == rule.head for lit in rule.body):
                 continue
             auxiliary[rule.head].append(rule)
             self._rank[rule] = len(self._rank)
         self.auxiliary = {head: tuple(rules) for head, rules in auxiliary.items()}
+
+    @cached_property
+    def handles(self) -> dict[tuple[Rule, str], tuple[Literal, ...]]:
+        """The AND handle of each in-cycle rule at each of its cycle
+        steps: its body minus ``not step``."""
+        return {
+            (rule, step): tuple(
+                lit for lit in rule.body if lit.atom != step or not lit.negated
+            )
+            for step, rules in self._cycle_steps
+            for rule in rules
+        }
 
     def is_auxiliary(self, rule: Rule) -> bool:
         return rule in self._rank
@@ -323,24 +329,65 @@ class StructuralIndex:
             OrHandle(cycle=cycle, target=rule.head, rule=rule) for rule in rules
         )
 
+    def cycles(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> tuple[Cycle, ...]:
+        """The cycles of :func:`find_cycles`, listed from this index."""
+        witnesses, successors = self._witnesses, self._successors
+        cycles: list[Cycle] = []
 
-def find_or_handles(
-    program: Program, cycle: Cycle, cycles: tuple[Cycle, ...] | None = None
-) -> tuple[OrHandle, ...]:
+        def emit(atom_cycle: list[str]) -> None:
+            n = len(atom_cycle)
+            options = [
+                witnesses[atom_cycle[i], atom_cycle[(i + 1) % n]] for i in range(n)
+            ]
+            for combo in itertools.product(*options):
+                if len(cycles) >= max_cycles:
+                    raise CycleCapExceededError(
+                        f"more than {max_cycles} cycles (the cycle cap)"
+                    )
+                cycles.append(Cycle(tuple(atom_cycle), tuple(combo)))
+
+        for source, target in witnesses:
+            if source == target:
+                emit([source])
+        # Every longer cycle lies in one component; it is found from the
+        # component's least atom if it passes through it, and otherwise in
+        # a component of what is left once that atom is removed.
+        pending = list(self._components)
+        while pending:
+            component = pending.pop()
+            start = min(component)
+            for atom_cycle in _circuits(start, set(component), successors):
+                emit(atom_cycle)
+            pending.extend(
+                _components([a for a in component if a != start], successors)
+            )
+        cycles.sort(key=lambda c: (c.size, c.atoms))
+        return tuple(cycles)
+
+
+def find_or_handles(program: Program, cycle: Cycle) -> tuple[OrHandle, ...]:
     """Auxiliary rules of ``cycle``: rules with a head among its atoms
     that belong to no cycle at all, have a non-empty body, and do not
-    mention their own head. Pass ``cycles`` to reuse a prior
-    ``find_cycles`` result."""
-    if cycles is None:
-        cycles = find_cycles(program)
-    return StructuralIndex(program, cycles).or_handles(cycle)
+    mention their own head."""
+    return StructuralIndex(program).or_handles(cycle)
 
 
 def find_bridges(program: Program) -> tuple[Bridge, ...]:
     """All maximal handle chains satisfying the bridge side conditions,
-    ordered by (anchor atom, target atom, chain atoms)."""
-    index = StructuralIndex(program, find_cycles(program))
+    ordered by (anchor atom, target atom, chain atoms).
+
+    The target must lie in a cycle other than the anchor's, which the
+    index decides without listing cycles. The anchor rule witnesses the
+    step to the first chain atom, which is in no cycle, so a target in
+    the anchor's component (or the anchor itself) would put that atom
+    in a cycle. The one exception is a self-loop anchor
+    ``p :- not p, not c``, which does not witness ``p -> c``: a chain
+    back to ``p`` is refused when that self-loop is the one cycle
+    through ``p``.
+    """
+    index = StructuralIndex(program)
     in_cycle_atoms = index.in_cycle_atoms
+    cycle_steps = Counter(rule.head for rule, _step in index.handles)
     defining: dict[str, list[Rule]] = defaultdict(list)
     body_count: Counter[str] = Counter()
     for rule in program.rules:
@@ -368,42 +415,31 @@ def find_bridges(program: Program) -> tuple[Bridge, ...]:
                 return tuple(chain), successor
             current = successor
 
+    candidates = [
+        (OR_BRIDGE, rule, rule.body)
+        for rules in index.auxiliary.values()
+        for rule in rules
+    ]
+    candidates += [
+        (AND_BRIDGE, rule, delta) for (rule, _), delta in index.handles.items()
+    ]
     bridges: list[Bridge] = []
-    seen_keys: set[tuple] = set()
-
-    def consider(kind: str, cycle: Cycle, anchor_rule: Rule, first: str) -> None:
-        hit = walk(first)
+    for kind, anchor_rule, handle in candidates:
+        if (
+            len(handle) != 1
+            or not handle[0].negated
+            or handle[0].atom in in_cycle_atoms
+        ):
+            continue
+        hit = walk(handle[0].atom)
         if hit is None:
-            return
+            continue
         chain, target = hit
-        # the target must lie in some cycle other than the anchor's
-        if all(c is cycle for c in index.cycles_through[target]):
-            return
-        key = (kind, anchor_rule, chain)
-        if key in seen_keys:
-            return
-        seen_keys.add(key)
-        bridges.append(
-            Bridge(kind, cycle, anchor_rule.head, anchor_rule, chain, target)
-        )
-
-    for cycle in index.cycles:
-        for atom in cycle.atoms:
-            for rule in index.auxiliary.get(atom, ()):
-                body = rule.body
-                if (
-                    len(body) == 1
-                    and body[0].negated
-                    and body[0].atom not in in_cycle_atoms
-                ):
-                    consider(OR_BRIDGE, cycle, rule, body[0].atom)
-        for i, delta in cycle.and_handles:
-            if (
-                len(delta) == 1
-                and delta[0].negated
-                and delta[0].atom not in in_cycle_atoms
-            ):
-                consider(AND_BRIDGE, cycle, cycle.rules[i], delta[0].atom)
-
+        # only a self-loop anchor's chain can lead back to the anchor
+        if target == anchor_rule.head and cycle_steps[target] == 1:
+            continue
+        bridges.append(Bridge(kind, anchor_rule.head, anchor_rule, chain, target))
+    # the first chain atom occurs in one body only, so the chain fixes
+    # the anchor rule and the key is unique per bridge
     bridges.sort(key=lambda b: (b.anchor_atom, b.target_atom, b.chain_atoms))
     return tuple(bridges)

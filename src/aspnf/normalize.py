@@ -34,7 +34,6 @@ from .cycles import (
     Bridge,
     StructuralIndex,
     find_bridges,
-    find_cycles,
 )
 from .errors import BridgeNotFoundError, KernelFormError, ReconstructionError
 from .kernel import check_kernel
@@ -77,8 +76,11 @@ class ThreeKernelReport:
 
 
 def check_3kernel(program: Program) -> ThreeKernelReport:
-    """Check all six 3-kernel conditions, reporting every violation."""
-    index = StructuralIndex(program, find_cycles(program))
+    """Check all six 3-kernel conditions, reporting every violation.
+
+    Only condition 5 lists concrete cycles: whether one simple cycle
+    passes through two given atoms is NP-complete in directed graphs."""
+    index = StructuralIndex(program)
 
     violations: list[ThreeKernelViolation] = []
     wfs = well_founded(program)
@@ -93,7 +95,7 @@ def check_3kernel(program: Program) -> ThreeKernelReport:
         if rule in index.in_cycle_rules and len(rule.body) > 2:
             violations.append(ThreeKernelViolation(4, rule))
     flagged: set[tuple[Rule, str]] = set()
-    for cycle in index.cycles:
+    for cycle in index.cycles():
         for i, delta in cycle.and_handles:
             for lit in delta:
                 key = (cycle.rules[i], lit.atom)
@@ -208,7 +210,7 @@ def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
             "long_rule_simplify requires kernel form; violations: "
             + ", ".join(v.condition for v in report.violations)
         )
-    index = StructuralIndex(program, find_cycles(program))
+    index = StructuralIndex(program)
     tags = fresh_tags(program.atoms, _FRESH_NAME)
 
     out: list[Rule] = []

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked example programs and independent oracles.
+"""Shared fixtures: the worked example programs, independent oracles
+and the ``programs()`` strategy of the property tests.
 
 ``oracle_answer_sets`` re-implements answer-set checking from scratch
 (its own reduct and closure code, no pruning) so that the library's
@@ -10,9 +11,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from aspnf import Literal, Program, Rule, WfsResult, parse_program
+from aspnf import Literal, Program, Rule, WfsResult, neg, parse_program
 
 # Property tests draw the same examples on every run.
 settings.register_profile(
@@ -238,3 +239,29 @@ def rename_atoms(program: Program, mapping: dict[str, str]) -> Program:
             for rule in program.rules
         )
     )
+
+
+@st.composite
+def programs(draw, max_atoms=8):
+    """Up to ``max_atoms`` atoms: facts, positive and negative bodies,
+    rules holding ``not head`` in their body, even loops ``a :- not b,
+    ...`` and ``b :- not a`` that leave atoms for the search to branch
+    on, and copies of rules with the body reversed (the same rule to the
+    search, a distinct rule to ``Program``)."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, max_atoms)))]
+    atom = st.sampled_from(names)
+    body = st.lists(st.builds(Literal, atom, st.booleans()), max_size=3)
+    rule = st.builds(lambda head, lits: [Rule(head, tuple(lits))], atom, body)
+    self_negating = st.builds(
+        lambda head, lits: [Rule(head, (neg(head), *lits))], atom, body
+    )
+    even_loop = st.builds(
+        lambda a, b, lits: [Rule(a, (neg(b), *lits)), Rule(b, (neg(a),))],
+        atom,
+        atom,
+        body,
+    )
+    groups = draw(st.lists(st.one_of(rule, self_negating, even_loop), max_size=10))
+    rules = [r for group in groups for r in group]
+    copies = draw(st.lists(st.sampled_from(rules), max_size=3)) if rules else []
+    return Program(tuple(rules) + tuple(Rule(r.head, r.body[::-1]) for r in copies))

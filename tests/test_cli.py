@@ -255,6 +255,18 @@ def test_gen_kernel_invalid_sizes_are_usage_errors(sizes, capsys):
     _assert_clean_error(capsys)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command", [["solve", "F"], ["kernelize", "F"], ["equiv", "F", "F", "--over", "a"]]
+)
+def test_max_atoms_below_one_is_a_usage_error(command, value, pi6_file, capsys):
+    argv = [pi6_file if arg == "F" else arg for arg in command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--max-atoms", value])
+    assert excinfo.value.code == 2
+    _assert_clean_error(capsys)
+
+
 def test_antichain2kernel_component_outside_universe(tmp_path, capsys):
     path = tmp_path / "outside.ac"
     path.write_text("#universe a.\nb.\n")

@@ -4,11 +4,14 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aspnf import (
     AND_BRIDGE,
     CycleCapExceededError,
     OR_BRIDGE,
+    Program,
+    Rule,
     check_3kernel,
     find_bridges,
     find_cycles,
@@ -17,8 +20,11 @@ from aspnf import (
     neg,
     parse_program,
     random_kernel_program,
+    three_kernelize,
 )
+from aspnf import cycles as cycles_module
 from aspnf.cycles import StructuralIndex
+from conftest import programs
 
 
 def cycle_by_atoms(cycles, atoms):
@@ -146,18 +152,18 @@ def test_find_cycles_matches_networkx():
 def test_find_or_handles_pi6(pi6):
     cycles = find_cycles(pi6)
     loop_q = cycle_by_atoms(cycles, ("q",))
-    handles = find_or_handles(pi6, loop_q, cycles)
+    handles = find_or_handles(pi6, loop_q)
     assert len(handles) == 1
     assert handles[0].target == "q"
     assert handles[0].handle == (neg("a"),)
     even = cycle_by_atoms(cycles, ("a", "b"))
-    assert find_or_handles(pi6, even, cycles) == ()
+    assert find_or_handles(pi6, even) == ()
 
 
 def test_find_or_handles_pi5(pi5):
     cycles = find_cycles(pi5)
     loop_p = cycle_by_atoms(cycles, ("p",))
-    handles = find_or_handles(pi5, loop_p, cycles)
+    handles = find_or_handles(pi5, loop_p)
     assert [h.handle for h in handles] == [(neg("a"), neg("c"))]
 
 
@@ -166,11 +172,7 @@ def test_in_cycle_rule_is_not_auxiliary():
     program = parse_program("a :- not b. b :- not a. a :- not c. c :- not a.")
     cycles = find_cycles(program)
     for cycle in cycles:
-        assert find_or_handles(program, cycle, cycles) == ()
-
-
-def structural_index(program):
-    return StructuralIndex(program, find_cycles(program))
+        assert find_or_handles(program, cycle) == ()
 
 
 def unindexed_rules(program):
@@ -182,7 +184,7 @@ def unindexed_rules(program):
 
 
 def test_classify_pi6(pi6):
-    index = structural_index(pi6)
+    index = StructuralIndex(pi6)
     assert len(index.in_cycle_rules) == 4
     auxiliary = [rule for rules in index.auxiliary.values() for rule in rules]
     assert [str(r) for r in auxiliary] == ["q :- not a."]
@@ -194,7 +196,7 @@ def test_classify_case_i(case_i):
     assert [str(r) for r in bridge.chain] == ["e :- not f.", "f :- not a."]
     # the bridge steps are the only rules outside every cycle and handle
     assert unindexed_rules(case_i) == list(bridge.chain)
-    index = structural_index(case_i)
+    index = StructuralIndex(case_i)
     assert [str(r) for r in index.auxiliary["p"]] == ["p :- not e."]
 
 
@@ -294,3 +296,124 @@ def test_classification_covers_program(pi5, pi6, case_i, case_iv):
     for program in (pi5, pi6, case_i, case_iv):
         steps = [rule for bridge in find_bridges(program) for rule in bridge.chain]
         assert sorted(unindexed_rules(program)) == sorted(steps)
+
+
+kernel_expansions = st.builds(
+    lambda atoms, extra, max_body, seed: long_rule_simplify(
+        random_kernel_program(atoms, atoms + extra, max_body=max_body, seed=seed)
+    )[0],
+    st.integers(1, 7),
+    st.integers(0, 5),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+)
+
+@st.composite
+def bridged_programs(draw):
+    """Even loops and one- or two-literal negative rules over five
+    atoms, plus one to three chains of fresh atoms from an anchor rule
+    to a target atom: bridges are common, and so are chains back to a
+    self-loop anchor."""
+    names = st.sampled_from([f"x{i}" for i in range(5)])
+    negative_rule = st.builds(
+        lambda head, body: [Rule(head, tuple(map(neg, body)))],
+        names,
+        st.lists(names, min_size=1, max_size=2),
+    )
+    even_loop = st.builds(
+        lambda a, b: [Rule(a, (neg(b),)), Rule(b, (neg(a),))], names, names
+    )
+    groups = draw(st.lists(st.one_of(even_loop, negative_rule), min_size=1, max_size=6))
+    rules = [rule for group in groups for rule in group]
+    for k in range(draw(st.integers(1, 3))):
+        chain = [f"c{k}_{i}" for i in range(draw(st.integers(1, 3)))]
+        anchor, step, target = draw(names), draw(names), draw(names)
+        handle = [neg(step)] if draw(st.booleans()) else []
+        rules.append(Rule(anchor, (*handle, neg(chain[0]))))
+        rules += [Rule(a, (neg(b),)) for a, b in zip(chain, chain[1:] + [target])]
+    return Program(tuple(rules))
+
+
+@given(st.one_of(programs(), kernel_expansions, bridged_programs()))
+def test_index_matches_cycles(program):
+    cycles = find_cycles(program)
+    index = StructuralIndex(program)
+    rules = {rule for c in cycles for rule in c.rules}
+    atoms = {atom for c in cycles for atom in c.atoms}
+    assert index.in_cycle_rules == rules
+    assert index.in_cycle_atoms == atoms
+    assert {(rule, delta) for (rule, _), delta in index.handles.items()} == {
+        (c.rules[i], c.handle(i)) for c in cycles for i in range(c.size)
+    }
+    auxiliary = defaultdict(list)
+    for rule in program.rules:
+        own = any(lit.atom == rule.head for lit in rule.body)
+        if rule.head in atoms and rule not in rules and rule.body and not own:
+            auxiliary[rule.head].append(rule)
+    assert index.auxiliary == {head: tuple(found) for head, found in auxiliary.items()}
+
+
+@given(st.one_of(bridged_programs(), kernel_expansions))
+def test_bridges_pass_the_side_condition_on_cycles(program):
+    # some cycle through the anchor and a different one through the target
+    cycles = find_cycles(program)
+    for bridge in find_bridges(program):
+        first = neg(bridge.chain_atoms[0])
+        if bridge.kind == OR_BRIDGE:
+            anchors = [c for c in cycles if bridge.anchor_atom in c.atoms]
+        else:
+            anchors = [
+                c
+                for c in cycles
+                for i, rule in enumerate(c.rules)
+                if rule == bridge.anchor_rule and c.handle(i) == (first,)
+            ]
+        targets = [c for c in cycles if bridge.target_atom in c.atoms]
+        assert any(a != t for a in anchors for t in targets)
+
+
+SELF_LOOP_CHAIN = "p :- not p, not e. e :- not f. f :- not p."
+
+
+def test_self_loop_chain_back_to_its_anchor_is_no_bridge():
+    # the self-loop p :- not p, not e is the one cycle through p
+    assert find_bridges(parse_program(SELF_LOOP_CHAIN)) == ()
+
+
+@pytest.mark.parametrize(
+    "extra", ["p :- not p, not q.", "p :- not z. z :- not p."]
+)
+def test_self_loop_chain_back_to_a_second_cycle_is_a_bridge(extra):
+    (bridge,) = find_bridges(parse_program(SELF_LOOP_CHAIN + extra))
+    assert bridge.kind == AND_BRIDGE
+    assert str(bridge.anchor_rule) == "p :- not p, not e."
+    assert bridge.chain_atoms == ("e", "f")
+    assert bridge.target_atom == "p"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_kernelize_past_the_cycle_cap(seed):
+    program = random_kernel_program(20, 36, seed=seed)
+    result, trace = three_kernelize(program)
+    assert trace.steps and result.rules
+
+
+LONG_RULES = (
+    "a :- not b. b :- not a. c :- not a, not b, not c. p :- not p. p :- not a, not c."
+)
+
+
+def test_three_kernelize_lists_no_cycle(
+    monkeypatch, pi5, case_i, case_ii, case_iii, case_iv
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("three_kernelize listed cycles")
+
+    monkeypatch.setattr(cycles_module, "find_cycles", refuse)
+    monkeypatch.setattr(StructuralIndex, "cycles", refuse)
+    long_rules = parse_program(LONG_RULES)
+    for program in (pi5, case_i, case_ii, case_iii, case_iv, long_rules):
+        _, trace = three_kernelize(program)
+        assert trace.steps
+    kinds = [step.kind for step in three_kernelize(long_rules)[1].steps]
+    assert kinds == ["long-rule", "long-rule"]

@@ -3,37 +3,11 @@ generated programs, and its debug record of search counters."""
 
 import logging
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given
 
-from aspnf import Literal, Program, Rule, enumerate_answer_sets, neg, well_founded
+from aspnf import Program, Rule, enumerate_answer_sets, neg, well_founded
 from aspnf.generate import encode_3col, graph
-from conftest import oracle_answer_sets, oracle_well_founded, rename_atoms
-
-
-@st.composite
-def programs(draw, max_atoms=8):
-    """Up to ``max_atoms`` atoms: facts, positive and negative bodies,
-    rules holding ``not head`` in their body, even loops ``a :- not b,
-    ...`` and ``b :- not a`` that leave atoms for the search to branch
-    on, and copies of rules with the body reversed (the same rule to the
-    search, a distinct rule to ``Program``)."""
-    names = [f"x{i}" for i in range(draw(st.integers(1, max_atoms)))]
-    atom = st.sampled_from(names)
-    body = st.lists(st.builds(Literal, atom, st.booleans()), max_size=3)
-    rule = st.builds(lambda head, lits: [Rule(head, tuple(lits))], atom, body)
-    self_negating = st.builds(
-        lambda head, lits: [Rule(head, (neg(head), *lits))], atom, body
-    )
-    even_loop = st.builds(
-        lambda a, b, lits: [Rule(a, (neg(b), *lits)), Rule(b, (neg(a),))],
-        atom,
-        atom,
-        body,
-    )
-    groups = draw(st.lists(st.one_of(rule, self_negating, even_loop), max_size=10))
-    rules = [r for group in groups for r in group]
-    copies = draw(st.lists(st.sampled_from(rules), max_size=3)) if rules else []
-    return Program(tuple(rules) + tuple(Rule(r.head, r.body[::-1]) for r in copies))
+from conftest import oracle_answer_sets, oracle_well_founded, programs, rename_atoms
 
 
 @given(programs())

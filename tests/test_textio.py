@@ -18,8 +18,13 @@ from aspnf import (
     render_program,
 )
 from aspnf.textio import split_atom_list
-from conftest import PI5_TEXT, PI6_TEXT, oracle_answer_sets, random_general_program
-from test_search import programs
+from conftest import (
+    PI5_TEXT,
+    PI6_TEXT,
+    oracle_answer_sets,
+    programs,
+    random_general_program,
+)
 
 
 def test_parse_self_loop():
