@@ -26,11 +26,13 @@ anchor's is a component question too, except for a self-loop anchor
 ``p :- not p, not c`` whose chain leads back to ``p`` (see
 :func:`find_bridges`).
 
-Only :func:`find_cycles` and condition 5 of the 3-kernel check list
-concrete cycles, from the same index: Johnson's algorithm lists the
-elementary circuits through the least atom of a component before that
-atom is removed and the rest is split again. Only they can hit the
-cycle cap.
+The index alone derives cycle steps and handles. Its
+:meth:`StructuralIndex.circuits` lists the elementary atom circuits
+(Johnson's algorithm: those through the least atom of a component,
+then the rest once that atom is removed). Condition 5 of the 3-kernel
+check walks them with the index's handles; only :func:`find_cycles`
+builds a :class:`Cycle` per combination of witnessing rules. Only
+these two can hit the cycle cap.
 """
 
 from __future__ import annotations
@@ -60,20 +62,6 @@ class Cycle:
     atoms: tuple[str, ...]
     rules: tuple[Rule, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.atoms)
-        if n == 0 or n != len(self.rules):
-            raise ValueError("cycle needs one rule per atom")
-        if len(set(self.atoms)) != n:
-            raise ValueError("cycle atoms must be distinct")
-        for i, rule in enumerate(self.rules):
-            if rule.head != self.atoms[i]:
-                raise ValueError(f"rule {rule} does not define {self.atoms[i]}")
-            if neg(self.atoms[(i + 1) % n]) not in rule.body:
-                raise ValueError(f"rule {rule} is not a step of {self.atoms}")
-            if any(lit.atom == rule.head for lit in self.handle(i)):
-                raise ValueError(f"handle of {rule} mentions its own head")
-
     @property
     def size(self) -> int:
         return len(self.atoms)
@@ -82,22 +70,10 @@ class Cycle:
     def is_even(self) -> bool:
         return self.size % 2 == 0
 
-    @cached_property
-    def _handles(self) -> tuple[tuple[Literal, ...], ...]:
-        steps = self.atoms[1:] + self.atoms[:1]
-        return tuple(
-            tuple(lit for lit in rule.body if lit.atom != step or not lit.negated)
-            for rule, step in zip(self.rules, steps)
-        )
-
     def handle(self, i: int) -> tuple[Literal, ...]:
         """AND handle at position ``i`` (possibly empty)."""
-        return self._handles[i]
-
-    @cached_property
-    def and_handles(self) -> tuple[tuple[int, tuple[Literal, ...]], ...]:
-        """Positions with a non-empty AND handle."""
-        return tuple((i, delta) for i, delta in enumerate(self._handles) if delta)
+        step = neg(self.atoms[(i + 1) % self.size])
+        return tuple(lit for lit in self.rules[i].body if lit != step)
 
 
 @dataclass(frozen=True)
@@ -252,13 +228,12 @@ class StructuralIndex:
     """Cycle membership, AND handles and auxiliary rules of a program,
     from one witness pass and one Tarjan pass, with no cycle listed.
 
-    A rule witnessing the step ``head -> b`` is in some cycle iff
-    ``b == head`` or ``b`` lies in the head's component: the shortest
-    path from ``b`` back to the head closes an elementary cycle, and
-    each witness of the step gives one. ``auxiliary`` maps each in-cycle
-    atom to its auxiliary rules, in program order; :attr:`handles` and
-    :meth:`cycles` (the concrete cycles) are computed from the same two
-    passes when asked for.
+    A rule witnessing the step ``head -> b`` (``witnesses`` lists them
+    per step) is in some cycle iff ``b == head`` or ``b`` lies in the
+    head's component: the shortest path from ``b`` back to the head
+    closes an elementary cycle. ``auxiliary`` maps each in-cycle atom
+    to its auxiliary rules, in program order; :attr:`handles` and
+    :meth:`circuits` come from the same two passes when asked for.
     """
 
     def __init__(self, program: Program) -> None:
@@ -274,7 +249,7 @@ class StructuralIndex:
         for source, target in witnesses:
             if source != target:
                 successors[source].append(target)
-        self._witnesses = witnesses
+        self.witnesses = witnesses
         self._successors = successors
         self._components = _components(list(successors), successors)
         # an atom outside every multi-atom component is its own key, so
@@ -294,14 +269,9 @@ class StructuralIndex:
         )
         self.in_cycle_atoms = frozenset(rule.head for rule in self.in_cycle_rules)
         auxiliary: dict[str, list[Rule]] = defaultdict(list)
-        self._rank: dict[Rule, int] = {}
         for rule in program.rules:
-            if rule.head not in self.in_cycle_atoms or rule in self.in_cycle_rules:
-                continue
-            if not rule.body or any(lit.atom == rule.head for lit in rule.body):
-                continue
-            auxiliary[rule.head].append(rule)
-            self._rank[rule] = len(self._rank)
+            if self.is_auxiliary(rule):
+                auxiliary[rule.head].append(rule)
         self.auxiliary = {head: tuple(rules) for head, rules in auxiliary.items()}
 
     @cached_property
@@ -317,59 +287,70 @@ class StructuralIndex:
         }
 
     def is_auxiliary(self, rule: Rule) -> bool:
-        return rule in self._rank
-
-    def or_handles(self, cycle: Cycle) -> tuple[OrHandle, ...]:
-        """Auxiliary rules of ``cycle``, in program order."""
-        rules = [
-            rule for atom in cycle.atoms for rule in self.auxiliary.get(atom, ())
-        ]
-        rules.sort(key=self._rank.__getitem__)
-        return tuple(
-            OrHandle(cycle=cycle, target=rule.head, rule=rule) for rule in rules
+        """Whether ``rule`` defines an in-cycle atom, is in no cycle, has
+        a non-empty body and does not mention its own head."""
+        return (
+            rule.head in self.in_cycle_atoms
+            and rule not in self.in_cycle_rules
+            and bool(rule.body)
+            and all(lit.atom != rule.head for lit in rule.body)
         )
 
-    def cycles(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> tuple[Cycle, ...]:
-        """The cycles of :func:`find_cycles`, listed from this index."""
-        witnesses, successors = self._witnesses, self._successors
-        cycles: list[Cycle] = []
-
-        def emit(atom_cycle: list[str]) -> None:
-            n = len(atom_cycle)
-            options = [
-                witnesses[atom_cycle[i], atom_cycle[(i + 1) % n]] for i in range(n)
-            ]
-            for combo in itertools.product(*options):
-                if len(cycles) >= max_cycles:
-                    raise CycleCapExceededError(
-                        f"more than {max_cycles} cycles (the cycle cap)"
-                    )
-                cycles.append(Cycle(tuple(atom_cycle), tuple(combo)))
-
-        for source, target in witnesses:
+    def circuits(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> Iterator[list[str]]:
+        """Each elementary atom circuit of the graph of steps once: the
+        self-loops, then the longer circuits component by component.
+        Raises :class:`CycleCapExceededError` past ``max_cycles``."""
+        found = 0
+        for source, target in self.witnesses:
             if source == target:
-                emit([source])
-        # Every longer cycle lies in one component; it is found from the
+                found += 1
+                _check_cap(found, max_cycles)
+                yield [source]
+        # Every longer circuit lies in one component; it is found from the
         # component's least atom if it passes through it, and otherwise in
         # a component of what is left once that atom is removed.
+        successors = self._successors
         pending = list(self._components)
         while pending:
             component = pending.pop()
             start = min(component)
-            for atom_cycle in _circuits(start, set(component), successors):
-                emit(atom_cycle)
+            for circuit in _circuits(start, set(component), successors):
+                found += 1
+                _check_cap(found, max_cycles)
+                yield circuit
             pending.extend(
                 _components([a for a in component if a != start], successors)
             )
+
+    def cycles(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> tuple[Cycle, ...]:
+        """The cycles of :func:`find_cycles`: every circuit once per
+        combination of its steps' witnesses."""
+        cycles: list[Cycle] = []
+        for circuit in self.circuits(max_cycles):
+            steps = zip(circuit, circuit[1:] + circuit[:1])
+            options = [self.witnesses[step] for step in steps]
+            for combo in itertools.product(*options):
+                _check_cap(len(cycles) + 1, max_cycles)
+                cycles.append(Cycle(tuple(circuit), combo))
         cycles.sort(key=lambda c: (c.size, c.atoms))
         return tuple(cycles)
 
 
+def _check_cap(count: int, max_cycles: int) -> None:
+    if count > max_cycles:
+        raise CycleCapExceededError(f"more than {max_cycles} cycles (the cycle cap)")
+
+
 def find_or_handles(program: Program, cycle: Cycle) -> tuple[OrHandle, ...]:
-    """Auxiliary rules of ``cycle``: rules with a head among its atoms
-    that belong to no cycle at all, have a non-empty body, and do not
-    mention their own head."""
-    return StructuralIndex(program).or_handles(cycle)
+    """Auxiliary rules of ``cycle``, in program order: rules with a head
+    among its atoms that belong to no cycle at all, have a non-empty
+    body, and do not mention their own head."""
+    index = StructuralIndex(program)
+    return tuple(
+        OrHandle(cycle=cycle, target=rule.head, rule=rule)
+        for rule in program.rules
+        if index.is_auxiliary(rule) and rule.head in cycle.atoms
+    )
 
 
 def find_bridges(program: Program) -> tuple[Bridge, ...]:

@@ -27,6 +27,8 @@ class UndirectedGraph:
 
     def __post_init__(self) -> None:
         nodes = tuple(sorted(dict.fromkeys(self.nodes)))
+        if nodes and nodes[0] < 0:
+            raise ValueError(f"negative node {nodes[0]}")
         object.__setattr__(self, "nodes", nodes)
         normalized = set()
         for u, v in self.edges:

@@ -25,6 +25,7 @@ language.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -78,8 +79,10 @@ class ThreeKernelReport:
 def check_3kernel(program: Program) -> ThreeKernelReport:
     """Check all six 3-kernel conditions, reporting every violation.
 
-    Only condition 5 lists concrete cycles: whether one simple cycle
-    passes through two given atoms is NP-complete in directed graphs."""
+    Only condition 5 walks circuits (whether one simple cycle passes
+    through two given atoms is NP-complete in directed graphs): a rule
+    is flagged once per atom of a handle that lies on a circuit through
+    the handle's step, in program order. The cap counts circuits."""
     index = StructuralIndex(program)
 
     violations: list[ThreeKernelViolation] = []
@@ -94,14 +97,20 @@ def check_3kernel(program: Program) -> ThreeKernelReport:
     for rule in program.rules:
         if rule in index.in_cycle_rules and len(rule.body) > 2:
             violations.append(ThreeKernelViolation(4, rule))
-    flagged: set[tuple[Rule, str]] = set()
-    for cycle in index.cycles():
-        for i, delta in cycle.and_handles:
-            for lit in delta:
-                key = (cycle.rules[i], lit.atom)
-                if lit.atom in cycle.atoms and key not in flagged:
-                    flagged.add(key)
-                    violations.append(ThreeKernelViolation(5, cycle.rules[i]))
+    # each rule's flagged atoms, shared by its handles at every step
+    flagged: defaultdict[Rule, set[str]] = defaultdict(set)
+    handle_atoms: defaultdict[tuple[str, str], list] = defaultdict(list)
+    for (rule, step), handle in index.handles.items():
+        if handle:
+            atoms = {lit.atom for lit in handle}
+            handle_atoms[rule.head, step].append((atoms, flagged[rule]))
+    for circuit in index.circuits():
+        on_circuit = set(circuit)
+        for head, step in zip(circuit, circuit[1:] + circuit[:1]):
+            for atoms, found in handle_atoms.get((head, step), ()):
+                found |= atoms & on_circuit
+    for rule in program.rules:
+        violations += [ThreeKernelViolation(5, rule)] * len(flagged.get(rule, ()))
     for rule in program.rules:
         if index.is_auxiliary(rule) and len(rule.body) != 1:
             violations.append(ThreeKernelViolation(6, rule))
@@ -337,23 +346,29 @@ def simplify_and_bridge(
 
 
 def three_kernelize(program: Program) -> tuple[Program, TransformTrace]:
-    """Long-rule simplification once, then bridge simplification to a
-    fixpoint. Requires kernel form.
+    """Long-rule simplification once, then every bridge of its result
+    simplified once, in sorted order. Requires kernel form.
 
-    Bridges are simplified in deterministic order (anchor atom, then
-    target atom), re-detecting after every step. The answer sets of the
-    result correspond to the input's over the surviving atoms;
-    ``reconstruct`` recovers full original answer sets. Residual
-    structure that the rewrites cannot reach is reported by
-    ``check_3kernel`` rather than asserted away.
+    One detection is enough. Chain atoms lie on no cycle and bridges
+    share no rule, so a rewrite, which replaces the path from anchor
+    through chain to target by one literal on the target, changes no
+    strongly connected component, no in-cycle set, no other bridge's
+    anchor or chain, and no body or defining-rule count of a chain atom.
+    A self-loop anchor's new literal witnesses no new step. Only an odd
+    chain back to a self-loop anchor ``p :- not p, not e`` differs from
+    detecting again: ``p :- not p, p`` no longer witnesses ``p``'s loop,
+    and a second chain back to ``p``, which may then no longer count as
+    a bridge, is still simplified, soundly, since the chain literal
+    equals the target literal in every answer set.
+
+    The answer sets of the result correspond to the input's over the
+    surviving atoms; ``reconstruct`` recovers full original answer
+    sets. Residual structure that the rewrites cannot reach is reported
+    by ``check_3kernel`` rather than asserted away.
     """
     result, trace = long_rule_simplify(program)
     steps = list(trace.steps)
-    while True:
-        bridges = find_bridges(result)
-        if not bridges:
-            break
-        bridge = bridges[0]
+    for bridge in find_bridges(result):
         simplify = (
             simplify_or_bridge if bridge.kind == OR_BRIDGE else simplify_and_bridge
         )

@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import aspnf
 
 
@@ -33,3 +37,15 @@ def test_test_only_structural_api_is_gone():
         assert name not in aspnf.__all__
         assert not hasattr(aspnf, name), name
     assert not hasattr(aspnf.DependencyGraph, "negative_edges")
+
+
+def test_benchmark_traced_names_resolve():
+    # the traced benchmark run wraps these names; a missing one would
+    # leave its per-layer metrics at zero
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, name in spans.TRACED:
+        module = importlib.import_module(f"aspnf.{module_name}")
+        assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -178,6 +178,16 @@ def test_graph_file_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_graph_file_negative_node(tmp_path, capsys):
+    bad = tmp_path / "negative.graph"
+    bad.write_text("nodes: -1 2\nedge: -1 2\n")
+    assert main(["encode-3col", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "negative node -1" in captured.err
+
+
 def test_equiv(pi5_file, tmp_path, capsys):
     simplified = tmp_path / "simplified.lp"
     from aspnf import long_rule_simplify, parse_program, render_program

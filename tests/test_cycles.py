@@ -4,7 +4,7 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from aspnf import (
     AND_BRIDGE,
@@ -13,6 +13,9 @@ from aspnf import (
     Program,
     Rule,
     check_3kernel,
+    check_kernel,
+    encode_3col,
+    enumerate_answer_sets,
     find_bridges,
     find_cycles,
     find_or_handles,
@@ -20,11 +23,14 @@ from aspnf import (
     neg,
     parse_program,
     random_kernel_program,
+    reconstruct,
     three_kernelize,
 )
 from aspnf import cycles as cycles_module
+from aspnf import normalize as normalize_module
 from aspnf.cycles import StructuralIndex
-from conftest import programs
+from aspnf.generate import graph
+from conftest import programs, rename_atoms
 
 
 def cycle_by_atoms(cycles, atoms):
@@ -37,12 +43,13 @@ def test_find_cycles_pi6(pi6):
     cycles = find_cycles(pi6)
     assert len(cycles) == 3
     even = cycle_by_atoms(cycles, ("a", "b"))
-    assert even.is_even and even.size == 2 and even.and_handles == ()
+    assert even.is_even and even.size == 2
+    assert even.handle(0) == even.handle(1) == ()
     loop_p = cycle_by_atoms(cycles, ("p",))
     assert not loop_p.is_even
-    assert loop_p.and_handles == ((0, (neg("b"),)),)
+    assert loop_p.handle(0) == (neg("b"),)
     loop_q = cycle_by_atoms(cycles, ("q",))
-    assert loop_q.and_handles == ()
+    assert loop_q.handle(0) == ()
 
 
 def test_find_cycles_ignores_positive_edges():
@@ -417,3 +424,103 @@ def test_three_kernelize_lists_no_cycle(
         assert trace.steps
     kinds = [step.kind for step in three_kernelize(long_rules)[1].steps]
     assert kinds == ["long-rule", "long-rule"]
+
+
+def reference_condition_5(program):
+    """Condition 5 by its definition: every cycle, every position, every
+    handle atom on that cycle, flagged once per (rule, atom)."""
+    flagged = set()
+    for cycle in find_cycles(program):
+        for i, rule in enumerate(cycle.rules):
+            for lit in cycle.handle(i):
+                if lit.atom in cycle.atoms:
+                    flagged.add((rule, lit.atom))
+    return Counter(rule for rule, _atom in flagged)
+
+
+@given(st.one_of(programs(), kernel_expansions, bridged_programs()))
+def test_condition_5_matches_its_definition(program):
+    witnesses = [
+        v.witness for v in check_3kernel(program).violations if v.condition == 5
+    ]
+    assert Counter(witnesses) == reference_condition_5(program)
+    # reported in program order
+    order = {rule: i for i, rule in enumerate(program.rules)}
+    assert witnesses == sorted(witnesses, key=order.__getitem__)
+
+
+def test_check_3kernel_builds_one_index_and_no_cycle(
+    monkeypatch, pi5, pi6, case_i, case_ii, case_iii, case_iv
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_3kernel built a Cycle")
+
+    built = []
+    init = StructuralIndex.__init__
+
+    def counting_init(self, program):
+        built.append(program)
+        init(self, program)
+
+    monkeypatch.setattr(cycles_module, "Cycle", refuse)
+    monkeypatch.setattr(cycles_module, "find_cycles", refuse)
+    monkeypatch.setattr(StructuralIndex, "cycles", refuse)
+    monkeypatch.setattr(StructuralIndex, "__init__", counting_init)
+    triangle = encode_3col(graph(range(3), [(0, 1), (1, 2), (0, 2)]))
+    for program in (pi5, pi6, case_i, case_ii, case_iii, case_iv, triangle):
+        built.clear()
+        check_3kernel(program)
+        assert built == [program]
+    assert 5 in check_3kernel(triangle).conditions()
+
+
+@given(st.one_of(bridged_programs(), kernel_expansions))
+def test_one_bridge_pass_leaves_no_bridge(program):
+    assume(check_kernel(program).is_kernel)
+    assert find_bridges(three_kernelize(program)[0]) == ()
+
+
+@given(bridged_programs())
+def test_one_bridge_pass_keeps_answer_sets(program):
+    assume(check_kernel(program).is_kernel)
+    result, trace = three_kernelize(program)
+    restored = {
+        reconstruct(s, trace) for s in enumerate_answer_sets(result, max_atoms=128)
+    }
+    assert restored == set(enumerate_answer_sets(program))
+
+
+def test_three_kernelize_finds_bridges_once(monkeypatch, case_i):
+    copies = [
+        rename_atoms(case_i, {atom: f"{atom}{k}" for atom in case_i.atoms})
+        for k in range(40)
+    ]
+    program = Program(tuple(rule for copy in copies for rule in copy.rules))
+    calls = []
+
+    def counting(program):
+        calls.append(program)
+        return find_bridges(program)
+
+    monkeypatch.setattr(normalize_module, "find_bridges", counting)
+    result, trace = three_kernelize(program)
+    assert len(calls) == 1
+    assert [step.kind for step in trace.steps] == ["or-bridge-even"] * 40
+    assert find_bridges(result) == ()
+
+
+def test_odd_chains_back_to_one_self_loop_are_all_simplified():
+    # each odd chain rewrite leaves "p :- not p, p", which witnesses no
+    # step, so the second chain is simplified although p is then left
+    # with one cycle step
+    program = parse_program(
+        SELF_LOOP_CHAIN.replace("f :- not p.", "f :- not g. g :- not p.")
+        + "p :- not p, not e2. e2 :- not f2. f2 :- not p."
+    )
+    assert len(find_bridges(program)) == 2
+    result, trace = three_kernelize(program)
+    kinds = [step.kind for step in trace.steps]
+    assert kinds == ["and-bridge-odd", "and-bridge-even"]
+    assert find_bridges(result) == ()
+    restored = {reconstruct(s, trace) for s in enumerate_answer_sets(result)}
+    assert restored == set(enumerate_answer_sets(program))

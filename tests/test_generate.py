@@ -49,6 +49,13 @@ def test_graph_rejects_self_edge_and_unknown_node():
         graph([0, 1], [(0, 2)])
 
 
+def test_graph_rejects_negative_node():
+    with pytest.raises(ValueError, match="negative node -1"):
+        graph([-1, 2], [(-1, 2)])
+    with pytest.raises(ValueError, match="negative node"):
+        graph([-3], [])
+
+
 def test_encode_sizes():
     assert len(encode_3col(graph([0], []))) == 6
     assert len(encode_3col(graph([0, 1], [(0, 1)]))) == 17
