@@ -24,6 +24,7 @@ from typing import Iterable
 from .errors import AspnfError, ReservedAtomError
 from .model import Program, Rule, is_reserved, neg
 from .semantics import enumerate_answer_sets, well_founded
+from .textio import split_atom_list
 
 COND_WFS_IRREDUCIBLE = "wfs-irreducible"
 COND_NEGATIVE_BODIES = "negative-bodies-only"
@@ -222,8 +223,6 @@ def parse_antichain(text: str) -> AntiChain:
 
 
 def _split_atoms(chunk: str, lineno: int) -> list[str]:
-    from .textio import split_atom_list
-
     chunk = chunk.strip()
     if not chunk.endswith("."):
         raise AspnfError(f"line {lineno}: expected '.' at end of line")

@@ -17,8 +17,11 @@ Two rewrites get there from kernel form:
   for odd ones. The dropped atoms' truth values are recorded as
   reconstruction formulas over the surviving target atom.
 
-Both return a :class:`TransformTrace` from which ``reconstruct`` maps
-answer sets of the transformed program back onto the original
+Each rewrite only describes its edits as :class:`TransformStep` values
+(rules removed, rules added, fresh atoms, dropped atoms' formulas), and
+one function, ``_apply``, turns a list of steps into the rewritten
+program and its :class:`TransformTrace`, from which ``reconstruct``
+maps answer sets of the transformed program back onto the original
 language.
 """
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .cycles import (
@@ -38,7 +41,7 @@ from .cycles import (
 )
 from .errors import BridgeNotFoundError, KernelFormError, ReconstructionError
 from .kernel import check_kernel
-from .model import Literal, Program, Rule, fresh_tags, neg, pos
+from .model import Program, Rule, fresh_tags, neg, pos
 from .semantics import well_founded
 
 CONDITION_LABELS = {
@@ -144,16 +147,32 @@ class TransformStep:
 @dataclass(frozen=True)
 class TransformTrace:
     """The steps of a rewrite and the universes after it
-    (``surviving_atoms``) and before it (``original_atoms``, which
-    defaults to the surviving universe, as for a trace without steps)."""
+    (``surviving_atoms``) and before it (``original_atoms``)."""
 
-    steps: tuple[TransformStep, ...] = ()
-    surviving_atoms: frozenset[str] = field(default_factory=frozenset)
-    original_atoms: frozenset[str] | None = None
+    steps: tuple[TransformStep, ...]
+    surviving_atoms: frozenset[str]
+    original_atoms: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if self.original_atoms is None:
-            object.__setattr__(self, "original_atoms", self.surviving_atoms)
+
+def _apply(
+    program: Program, steps: list[TransformStep]
+) -> tuple[Program, TransformTrace]:
+    """The program with every step applied at once: a step's added
+    rules take the place of its first removed rule, and its other
+    removed rules are dropped. Steps remove disjoint sets of rules.
+    Without steps the program is returned as it is."""
+    if not steps:
+        return program, TransformTrace((), program.atoms, program.atoms)
+    replaced: dict[Rule, tuple[Rule, ...]] = {}
+    for step in steps:
+        first, *rest = step.removed
+        replaced.update(dict.fromkeys(rest, ()))
+        replaced[first] = step.added
+    rules: list[Rule] = []
+    for rule in program.rules:
+        rules.extend(replaced.get(rule, (rule,)))
+    result = Program(tuple(rules))
+    return result, TransformTrace(tuple(steps), result.atoms, program.atoms)
 
 
 #: Fresh atoms ``__h{k}_i`` and ``__g{k}_i`` of the long-rule rewrite.
@@ -221,15 +240,14 @@ def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
         )
     index = StructuralIndex(program)
     tags = fresh_tags(program.atoms, _FRESH_NAME)
+    self_loops = {rule.head for rule in program.rules if rule.body == (neg(rule.head),)}
 
-    out: list[Rule] = []
     steps: list[TransformStep] = []
     for rule in program.rules:
         j = len(rule.body)
         long_auxiliary = index.is_auxiliary(rule) and j > 1
         long_in_cycle = rule in index.in_cycle_rules and j > 2
         if not (long_auxiliary or long_in_cycle):
-            out.append(rule)
             continue
         tag = next(tags)
         conditions = [lit.atom for lit in rule.body]  # all negative in kernel form
@@ -242,14 +260,13 @@ def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
             )
         added.append(Rule(fresh[2 * j], (neg(rule.head),)))
         notes = [NOTE_REROUTES_CYCLE] if long_in_cycle else []
-        if Rule(rule.head, (neg(rule.head),)) not in program.rules:
+        if rule.head not in self_loops:
             guard_conditions = [rule.head]
             guard_conditions += [b for b in conditions if b != rule.head]
             guard_rules, guard_atoms = _guard_cycle(guard_conditions, tag)
             added.extend(guard_rules)
             fresh.extend(guard_atoms)
             notes.append(NOTE_CONSTRAINT_GUARD)
-        out.extend(added)
         steps.append(
             TransformStep(
                 kind="long-rule",
@@ -259,8 +276,7 @@ def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
                 notes=tuple(notes),
             )
         )
-    result = Program(tuple(out))
-    return result, TransformTrace(tuple(steps), result.atoms, program.atoms)
+    return _apply(program, steps)
 
 
 def _chain_formulas(bridge: Bridge) -> tuple[ReconstructionFormula, ...]:
@@ -277,10 +293,9 @@ def _chain_formulas(bridge: Bridge) -> tuple[ReconstructionFormula, ...]:
 def _require_bridge(program: Program, bridge: Bridge, kind: str) -> None:
     if bridge.kind != kind:
         raise ValueError(f"expected an {kind} bridge, got {bridge.kind}")
+    present = set(program.rules)
     missing = [
-        rule
-        for rule in (bridge.anchor_rule, *bridge.chain)
-        if rule not in program.rules
+        rule for rule in (bridge.anchor_rule, *bridge.chain) if rule not in present
     ]
     if missing:
         raise BridgeNotFoundError(
@@ -288,34 +303,26 @@ def _require_bridge(program: Program, bridge: Bridge, kind: str) -> None:
         )
 
 
-def _target_literal(bridge: Bridge) -> Literal:
-    """The target as the anchor sees it through the chain: ``not a``
-    for even chains, ``a`` for odd ones."""
+def _bridge_step(bridge: Bridge) -> TransformStep:
+    """Delete the bridge chain and rewrite the anchor rule's first chain
+    literal to the target as the anchor sees it through the chain,
+    ``not a`` for even chains and ``a`` for odd ones. An OR anchor's
+    body is exactly that literal. The chain atoms' reconstruction
+    formulas are recorded."""
     target = bridge.target_atom
-    return neg(target) if bridge.is_even else pos(target)
-
-
-def _replace_bridge(
-    program: Program, bridge: Bridge, replacement: Rule
-) -> tuple[Program, TransformTrace]:
-    """Delete the bridge chain and put ``replacement`` in place of the
-    anchor rule, recording the chain atoms' reconstruction formulas."""
-    removed = (bridge.anchor_rule, *bridge.chain)
-    out: list[Rule] = []
-    for rule in program.rules:
-        if rule == bridge.anchor_rule:
-            out.append(replacement)
-        elif rule not in removed:
-            out.append(rule)
+    literal = neg(target) if bridge.is_even else pos(target)
+    first = neg(bridge.chain_atoms[0])
+    anchor = bridge.anchor_rule
+    replacement = Rule(
+        anchor.head, tuple(literal if lit == first else lit for lit in anchor.body)
+    )
     parity = "even" if bridge.is_even else "odd"
-    result = Program(tuple(out))
-    step = TransformStep(
+    return TransformStep(
         kind=f"{bridge.kind.lower()}-bridge-{parity}",
-        removed=removed,
+        removed=(anchor, *bridge.chain),
         added=(replacement,),
         dropped=_chain_formulas(bridge),
     )
-    return result, TransformTrace((step,), result.atoms, program.atoms)
 
 
 def simplify_or_bridge(
@@ -325,8 +332,7 @@ def simplify_or_bridge(
     replaced by a direct handle on the target, ``p :- not a`` for even
     chains and ``p :- a`` for odd ones."""
     _require_bridge(program, bridge, OR_BRIDGE)
-    replacement = Rule(bridge.anchor_atom, (_target_literal(bridge),))
-    return _replace_bridge(program, bridge, replacement)
+    return _apply(program, [_bridge_step(bridge)])
 
 
 def simplify_and_bridge(
@@ -336,18 +342,16 @@ def simplify_and_bridge(
     rule's handle literal is rewritten to the target, ``not a`` for even
     chains and positive ``a`` for odd ones."""
     _require_bridge(program, bridge, AND_BRIDGE)
-    first = neg(bridge.chain_atoms[0])
-    literal = _target_literal(bridge)
-    replacement = Rule(
-        bridge.anchor_rule.head,
-        tuple(literal if lit == first else lit for lit in bridge.anchor_rule.body),
-    )
-    return _replace_bridge(program, bridge, replacement)
+    return _apply(program, [_bridge_step(bridge)])
 
 
 def three_kernelize(program: Program) -> tuple[Program, TransformTrace]:
     """Long-rule simplification once, then every bridge of its result
     simplified once, in sorted order. Requires kernel form.
+
+    Both rewrites produce steps and ``_apply`` applies them, so the
+    bridge steps are applied together, as one edit of the long-rule
+    result, and the two traces are composed.
 
     One detection is enough. Chain atoms lie on no cycle and bridges
     share no rule, so a rewrite, which replaces the path from anchor
@@ -366,15 +370,11 @@ def three_kernelize(program: Program) -> tuple[Program, TransformTrace]:
     sets. Residual structure that the rewrites cannot reach is reported
     by ``check_3kernel`` rather than asserted away.
     """
-    result, trace = long_rule_simplify(program)
-    steps = list(trace.steps)
-    for bridge in find_bridges(result):
-        simplify = (
-            simplify_or_bridge if bridge.kind == OR_BRIDGE else simplify_and_bridge
-        )
-        result, step_trace = simplify(result, bridge)
-        steps.extend(step_trace.steps)
-    return result, TransformTrace(tuple(steps), result.atoms, program.atoms)
+    expanded, trace = long_rule_simplify(program)
+    bridge_steps = [_bridge_step(bridge) for bridge in find_bridges(expanded)]
+    result, bridged = _apply(expanded, bridge_steps)
+    steps = trace.steps + bridged.steps
+    return result, TransformTrace(steps, result.atoms, program.atoms)
 
 
 def reconstruct(

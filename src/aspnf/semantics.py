@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import UniverseTooLargeError
-from .model import Program, Rule
+from .model import Program, Rule, is_reserved
 
 #: Default cap on the enumeration universe (overridable per call).
 DEFAULT_MAX_ATOMS = 24
@@ -133,36 +133,6 @@ def well_founded(program: Program) -> WfsResult:
     )
 
 
-@dataclass(frozen=True)
-class AnswerSetCollection:
-    """Answer sets in enumeration order: by size, then sorted atom names.
-
-    Answer sets of any program form an anti-chain (no member is a
-    subset of another); ``is_antichain`` lets tests verify this.
-    """
-
-    sets: tuple[frozenset[str], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(dict.fromkeys(self.sets)))
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __contains__(self, item: Iterable[str]) -> bool:
-        return frozenset(item) in set(self.sets)
-
-    def is_antichain(self) -> bool:
-        for i, a in enumerate(self.sets):
-            for b in self.sets[i + 1 :]:
-                if a <= b or b <= a:
-                    return False
-        return True
-
-
 class _BitProgram:
     """Rules compiled to bitmasks over the given atoms (which must hold
     every atom of the rules), one bit per atom. For programs without
@@ -175,7 +145,7 @@ class _BitProgram:
     atoms are decided."""
 
     def __init__(self, rules: Iterable[Rule], atoms: Iterable[str]):
-        self.atoms = tuple(sorted(atoms, key=lambda a: (a.startswith("__"), a)))
+        self.atoms = tuple(sorted(atoms, key=lambda a: (is_reserved(a), a)))
         self.index = index = {atom: i for i, atom in enumerate(self.atoms)}
         self.full = (1 << len(self.atoms)) - 1
         compiled = []
@@ -408,7 +378,7 @@ def _components(program: Program) -> list[tuple[list[Rule], list[str]]]:
 
 def enumerate_answer_sets(
     program: Program, max_atoms: int | None = None
-) -> AnswerSetCollection:
+) -> tuple[frozenset[str], ...]:
     """All answer sets: exactly ``{s : gamma(p, s) == s}``.
 
     Raises :class:`UniverseTooLargeError` when the universe exceeds the
@@ -451,4 +421,4 @@ def enumerate_answer_sets(
             },
         )
     answer_sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return AnswerSetCollection(tuple(answer_sets))
+    return tuple(answer_sets)

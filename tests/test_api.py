@@ -32,6 +32,7 @@ def test_test_only_structural_api_is_gone():
         "export_analysis_dot",
         "is_purely_negative",
         "is_wfs_irreducible",
+        "AnswerSetCollection",
     )
     for name in deleted:
         assert name not in aspnf.__all__

@@ -24,6 +24,8 @@ from aspnf import (
     parse_program,
     random_kernel_program,
     reconstruct,
+    simplify_and_bridge,
+    simplify_or_bridge,
     three_kernelize,
 )
 from aspnf import cycles as cycles_module
@@ -490,12 +492,16 @@ def test_one_bridge_pass_keeps_answer_sets(program):
     assert restored == set(enumerate_answer_sets(program))
 
 
-def test_three_kernelize_finds_bridges_once(monkeypatch, case_i):
+def case_i_copies(case_i, count):
     copies = [
         rename_atoms(case_i, {atom: f"{atom}{k}" for atom in case_i.atoms})
-        for k in range(40)
+        for k in range(count)
     ]
-    program = Program(tuple(rule for copy in copies for rule in copy.rules))
+    return Program(tuple(rule for copy in copies for rule in copy.rules))
+
+
+def test_three_kernelize_finds_bridges_once(monkeypatch, case_i):
+    program = case_i_copies(case_i, 40)
     calls = []
 
     def counting(program):
@@ -524,3 +530,46 @@ def test_odd_chains_back_to_one_self_loop_are_all_simplified():
     assert find_bridges(result) == ()
     restored = {reconstruct(s, trace) for s in enumerate_answer_sets(result)}
     assert restored == set(enumerate_answer_sets(program))
+
+
+def sequential_three_kernelize(program):
+    """The reference: long-rule simplification, then one public bridge
+    rewrite per bridge of its result, in the sorted order of
+    ``find_bridges``, each on the previous result."""
+    result, trace = long_rule_simplify(program)
+    steps = list(trace.steps)
+    for bridge in find_bridges(result):
+        simplify = (
+            simplify_or_bridge if bridge.kind == OR_BRIDGE else simplify_and_bridge
+        )
+        result, bridge_trace = simplify(result, bridge)
+        steps += bridge_trace.steps
+    return result, tuple(steps)
+
+
+@given(st.one_of(bridged_programs(), kernel_expansions))
+def test_three_kernelize_matches_sequential_rewrites(program):
+    assume(check_kernel(program).is_kernel)
+    result, trace = three_kernelize(program)
+    expected, steps = sequential_three_kernelize(program)
+    assert result == expected
+    assert trace.steps == steps
+    assert trace.surviving_atoms == expected.atoms
+    assert trace.original_atoms == program.atoms
+
+
+def test_three_kernelize_builds_at_most_two_programs(monkeypatch, case_i):
+    # one Program for the long-rule rewrite and one for all bridges,
+    # not one per bridge
+    program = case_i_copies(case_i, 40)
+    built = []
+    post_init = Program.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Program, "__post_init__", counting)
+    _, trace = three_kernelize(program)
+    assert len(trace.steps) == 40
+    assert len(built) <= 2

@@ -251,14 +251,14 @@ def test_reconstruct_case_i(case_i):
 
 
 def test_reconstruct_empty_trace_strips_reserved():
-    trace = TransformTrace((), frozenset({"a"}))
+    trace = TransformTrace((), frozenset({"a"}), frozenset({"a"}))
     assert reconstruct({"a", "__h0_1"}, trace) == {"a"}
 
 
 def test_reconstruct_unknown_source_errors(case_i):
     (bridge,) = find_bridges(case_i)
     _, trace = simplify_or_bridge(case_i, bridge)
-    bad = TransformTrace(trace.steps, frozenset())
+    bad = TransformTrace(trace.steps, frozenset(), frozenset())
     with pytest.raises(ReconstructionError):
         reconstruct(frozenset(), bad)
 

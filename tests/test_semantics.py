@@ -3,7 +3,7 @@ import random
 import pytest
 
 from aspnf import (
-    AnswerSetCollection,
+    AntiChain,
     Program,
     Rule,
     UniverseTooLargeError,
@@ -175,13 +175,9 @@ def test_answer_sets_form_antichain():
     rng = random.Random(79)
     for _ in range(80):
         program = random_general_program(rng, 7, 9)
-        assert enumerate_answer_sets(program).is_antichain()
-
-
-def test_antichain_detects_subset():
-    assert not AnswerSetCollection(
-        (frozenset({"a"}), frozenset({"a", "b"}))
-    ).is_antichain()
+        answer_sets = enumerate_answer_sets(program)
+        antichain = AntiChain(program.atoms, frozenset(answer_sets))
+        assert len(antichain.components) == len(answer_sets)
 
 
 def test_well_founded_pi6_all_undefined(pi6):
