@@ -26,13 +26,11 @@ anchor's is a component question too, except for a self-loop anchor
 ``p :- not p, not c`` whose chain leads back to ``p`` (see
 :func:`find_bridges`).
 
-The index alone derives cycle steps and handles. Its
-:meth:`StructuralIndex.circuits` lists the elementary atom circuits
-(Johnson's algorithm: those through the least atom of a component,
-then the rest once that atom is removed). Condition 5 of the 3-kernel
-check walks them with the index's handles; only :func:`find_cycles`
-builds a :class:`Cycle` per combination of witnessing rules. Only
-these two can hit the cycle cap.
+The index lists nothing. Condition 5 of the 3-kernel check asks one
+path query per handle atom (:meth:`StructuralIndex.on_circuit`, with
+no cap), and :func:`find_cycles`, the one function with a cap, lists
+every circuit with the same pruned search, :func:`_paths`, and builds
+a :class:`Cycle` per combination of witnessing rules.
 """
 
 from __future__ import annotations
@@ -129,7 +127,32 @@ def find_cycles(
 
     Raises :class:`CycleCapExceededError` past ``max_cycles``.
     """
-    return StructuralIndex(program).cycles(max_cycles)
+    index = StructuralIndex(program)
+    successors = index._successors
+
+    def circuits() -> Iterator[list[str]]:
+        yield from ([a] for a, b in index.witnesses if a == b)
+        # Every longer circuit lies in one component; it is found from the
+        # component's least atom if it passes through it, and otherwise in
+        # a component of what is left once that atom is removed.
+        pending = list(index._components)
+        while pending:
+            component = pending.pop()
+            start = min(component)
+            yield from _paths(start, start, set(component), successors)
+            pending += _components([a for a in component if a != start], successors)
+
+    cycles: list[Cycle] = []
+    for circuit in circuits():
+        steps = zip(circuit, circuit[1:] + circuit[:1])
+        options = [index.witnesses[step] for step in steps]
+        for combo in itertools.product(*options):
+            if len(cycles) >= max_cycles:
+                message = f"more than {max_cycles} cycles (the cycle cap)"
+                raise CycleCapExceededError(message)
+            cycles.append(Cycle(tuple(circuit), combo))
+    cycles.sort(key=lambda c: (c.size, c.atoms))
+    return tuple(cycles)
 
 
 def _components(
@@ -181,47 +204,60 @@ def _components(
     return found
 
 
-def _circuits(
-    start: str, component: set[str], successors: dict[str, list[str]]
+def _paths(
+    source: str, goal: str, allowed: set[str], successors: dict, via: str | None = None
 ) -> Iterator[list[str]]:
-    """Elementary circuits through ``start`` inside ``component``, each
-    as its atoms from ``start`` on (Johnson's algorithm, iteratively).
+    """Simple paths ``source -> ... -> goal`` over ``allowed`` atoms,
+    each as its atoms before ``goal`` (a circuit when ``source ==
+    goal``); with ``via``, only the paths through ``via``.
 
-    An atom stays blocked after a fruitless visit until some circuit
-    passes through an atom it leads to, so no dead end is walked twice.
+    Depth first, without recursion. Where the path can go on in more
+    than one way, an atom is entered only if a search that avoids the
+    path reaches ``goal`` from it, or ``via`` and from there ``goal``.
+    Where there is one way on, the check that let its parent in covers
+    it. So without ``via`` no dead end is entered.
     """
-    blocked = {start}
-    blockers: defaultdict[str, set[str]] = defaultdict(set)
-    path = [start]
-    closed = [False]  # closed[i]: a circuit was found beyond path[i]
-    work = [iter(successors[start])]
+    path = [source]
+    closed = {source, goal}  # the path and the goal, which ends it
+
+    def reaches(start: str, target: str) -> bool:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for atom in successors.get(frontier.pop(), ()):
+                if atom == target:
+                    return True
+                if atom not in seen and atom not in closed and atom in allowed:
+                    seen.add(atom)
+                    frontier.append(atom)
+        return False
+
+    def ways(atom: str) -> list[str]:
+        target = goal if via is None or via in closed else via
+        options = [
+            a
+            for a in successors.get(atom, ())
+            if a == goal == target or (a not in closed and a in allowed)
+        ]
+        if len(options) > 1:
+            if target != goal and not reaches(via, goal):
+                return []
+            options = [a for a in options if a in (goal, target) or reaches(a, target)]
+        return options
+
+    work = [iter(ways(source))]
     while work:
-        for successor in work[-1]:
-            if successor == start:
+        for atom in work[-1]:
+            if atom == goal:
                 yield list(path)
-                closed[-1] = True
-            elif successor in component and successor not in blocked:
-                blocked.add(successor)
-                path.append(successor)
-                closed.append(False)
-                work.append(iter(successors.get(successor, ())))
+            else:
+                path.append(atom)
+                closed.add(atom)
+                work.append(iter(ways(atom)))
                 break
         else:
             work.pop()
-            atom = path.pop()
-            if closed.pop():
-                if closed:
-                    closed[-1] = True
-                unblock = [atom]
-                while unblock:
-                    freed = unblock.pop()
-                    if freed in blocked:
-                        blocked.remove(freed)
-                        unblock.extend(blockers.pop(freed, ()))
-            else:
-                for successor in successors.get(atom, ()):
-                    if successor in component:
-                        blockers[successor].add(atom)
+            closed.discard(path.pop())
 
 
 class StructuralIndex:
@@ -232,8 +268,8 @@ class StructuralIndex:
     per step) is in some cycle iff ``b == head`` or ``b`` lies in the
     head's component: the shortest path from ``b`` back to the head
     closes an elementary cycle. ``auxiliary`` maps each in-cycle atom
-    to its auxiliary rules, in program order; :attr:`handles` and
-    :meth:`circuits` come from the same two passes when asked for.
+    to its auxiliary rules, in program order; :attr:`handles` comes
+    from the same two passes when asked for.
     """
 
     def __init__(self, program: Program) -> None:
@@ -252,17 +288,14 @@ class StructuralIndex:
         self.witnesses = witnesses
         self._successors = successors
         self._components = _components(list(successors), successors)
-        # an atom outside every multi-atom component is its own key, so
-        # equal keys mean a self-loop or a step inside one component
-        key: dict[str, object] = {
-            atom: i
-            for i, component in enumerate(self._components)
-            for atom in component
+        self._component_of = {
+            atom: members for members in map(set, self._components) for atom in members
         }
+        # a step is a cycle step iff it is a self-loop or stays in one component
         self._cycle_steps = [
             (step, rules)
             for (head, step), rules in witnesses.items()
-            if key.get(head, head) == key.get(step, step)
+            if head == step or step in self._component_of.get(head, ())
         ]
         self.in_cycle_rules = frozenset(
             rule for _step, rules in self._cycle_steps for rule in rules
@@ -296,49 +329,17 @@ class StructuralIndex:
             and all(lit.atom != rule.head for lit in rule.body)
         )
 
-    def circuits(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> Iterator[list[str]]:
-        """Each elementary atom circuit of the graph of steps once: the
-        self-loops, then the longer circuits component by component.
-        Raises :class:`CycleCapExceededError` past ``max_cycles``."""
-        found = 0
-        for source, target in self.witnesses:
-            if source == target:
-                found += 1
-                _check_cap(found, max_cycles)
-                yield [source]
-        # Every longer circuit lies in one component; it is found from the
-        # component's least atom if it passes through it, and otherwise in
-        # a component of what is left once that atom is removed.
-        successors = self._successors
-        pending = list(self._components)
-        while pending:
-            component = pending.pop()
-            start = min(component)
-            for circuit in _circuits(start, set(component), successors):
-                found += 1
-                _check_cap(found, max_cycles)
-                yield circuit
-            pending.extend(
-                _components([a for a in component if a != start], successors)
-            )
-
-    def cycles(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> tuple[Cycle, ...]:
-        """The cycles of :func:`find_cycles`: every circuit once per
-        combination of its steps' witnesses."""
-        cycles: list[Cycle] = []
-        for circuit in self.circuits(max_cycles):
-            steps = zip(circuit, circuit[1:] + circuit[:1])
-            options = [self.witnesses[step] for step in steps]
-            for combo in itertools.product(*options):
-                _check_cap(len(cycles) + 1, max_cycles)
-                cycles.append(Cycle(tuple(circuit), combo))
-        cycles.sort(key=lambda c: (c.size, c.atoms))
-        return tuple(cycles)
-
-
-def _check_cap(count: int, max_cycles: int) -> None:
-    if count > max_cycles:
-        raise CycleCapExceededError(f"more than {max_cycles} cycles (the cycle cap)")
+    def on_circuit(self, head: str, step: str, atom: str) -> bool:
+        """Whether some elementary circuit takes the cycle step ``head ->
+        step`` and passes through ``atom``: a simple path from ``step``
+        through ``atom`` back to ``head`` in ``head``'s component. Exact,
+        and NP-complete in the worst case (Fortune, Hopcroft, Wyllie 1980).
+        """
+        component = self._component_of.get(head, ())
+        if head == step or atom not in component:
+            return False
+        paths = _paths(step, head, component, self._successors, via=atom)
+        return atom == step or any(paths)
 
 
 def find_or_handles(program: Program, cycle: Cycle) -> tuple[OrHandle, ...]:

@@ -14,7 +14,9 @@ class UniverseTooLargeError(AspnfError):
 
 
 class CycleCapExceededError(AspnfError):
-    """Cycle enumeration exceeded the configured cycle-count cap."""
+    """``find_cycles`` listed more cycles than its ``max_cycles`` cap.
+
+    No other function lists cycles, so nothing else raises it."""
 
 
 class KernelFormError(AspnfError):

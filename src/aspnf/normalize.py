@@ -82,10 +82,13 @@ class ThreeKernelReport:
 def check_3kernel(program: Program) -> ThreeKernelReport:
     """Check all six 3-kernel conditions, reporting every violation.
 
-    Only condition 5 walks circuits (whether one simple cycle passes
-    through two given atoms is NP-complete in directed graphs): a rule
-    is flagged once per atom of a handle that lies on a circuit through
-    the handle's step, in program order. The cap counts circuits."""
+    Conditions 1, 3 and 4 are stated in the paper's abstract; 2, 5 and
+    6 are this package's reading of the full definition, which is in
+    the journal version and not in this repository. Condition 5 flags a
+    rule once per handle atom on an elementary circuit through the
+    handle's step, in program order: one exact path query per atom
+    (:meth:`StructuralIndex.on_circuit`, NP-complete in the worst case),
+    with no circuit listed and no cap."""
     index = StructuralIndex(program)
 
     violations: list[ThreeKernelViolation] = []
@@ -102,16 +105,11 @@ def check_3kernel(program: Program) -> ThreeKernelReport:
             violations.append(ThreeKernelViolation(4, rule))
     # each rule's flagged atoms, shared by its handles at every step
     flagged: defaultdict[Rule, set[str]] = defaultdict(set)
-    handle_atoms: defaultdict[tuple[str, str], list] = defaultdict(list)
     for (rule, step), handle in index.handles.items():
-        if handle:
-            atoms = {lit.atom for lit in handle}
-            handle_atoms[rule.head, step].append((atoms, flagged[rule]))
-    for circuit in index.circuits():
-        on_circuit = set(circuit)
-        for head, step in zip(circuit, circuit[1:] + circuit[:1]):
-            for atoms, found in handle_atoms.get((head, step), ()):
-                found |= atoms & on_circuit
+        found = flagged[rule]
+        for lit in handle:
+            if lit.atom not in found and index.on_circuit(rule.head, step, lit.atom):
+                found.add(lit.atom)
     for rule in program.rules:
         violations += [ThreeKernelViolation(5, rule)] * len(flagged.get(rule, ()))
     for rule in program.rules:
@@ -236,7 +234,7 @@ def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
     if not report.is_kernel:
         raise KernelFormError(
             "long_rule_simplify requires kernel form; violations: "
-            + ", ".join(v.condition for v in report.violations)
+            + ", ".join(dict.fromkeys(v.condition for v in report.violations))
         )
     index = StructuralIndex(program)
     tags = fresh_tags(program.atoms, _FRESH_NAME)

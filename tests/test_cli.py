@@ -1,4 +1,6 @@
+import contextlib
 import glob
+import io
 import json
 import os
 import shutil
@@ -7,7 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from aspnf import random_kernel_program, render_program, three_kernelize
 from aspnf.cli import main
 from conftest import CASE_II_TEXT, PI5_TEXT, PI6_TEXT
 
@@ -120,6 +124,18 @@ def test_3kernel_check_long_even_cycle(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("seed, lines", [(1, 49), (2, 42)])
+def test_3kernel_check_past_the_cycle_cap(seed, lines, tmp_path, capsys):
+    # these results have more than 10,000 circuits
+    result, _ = three_kernelize(random_kernel_program(20, 36, seed=seed))
+    path = tmp_path / "result.lp"
+    path.write_text(render_program(result))
+    assert main(["3kernel-check", "--allow-reserved", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("  - condition 5 ") == lines
+    assert captured.err == ""
+
+
 def test_3kernelize_with_trace(tmp_path, capsys):
     source = tmp_path / "case2.lp"
     source.write_text(CASE_II_TEXT)
@@ -162,8 +178,6 @@ def test_encode_and_decode_3col(tmp_path, capsys, monkeypatch):
     program_file.write_text(encoded)
     assert main(["solve", str(program_file)]) == 0
     answer_lines = capsys.readouterr().out
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(answer_lines))
     assert main(["decode-3col", str(graph_file)]) == 0
     decoded = capsys.readouterr().out.splitlines()
@@ -371,3 +385,43 @@ def test_runs_on_python_3_10(pi6_file, tmp_path):
     parsed = _fresh_run(["parse", str(path)], python)
     assert parsed.returncode == 0, parsed.stderr
     assert parsed.stdout == "red :- not color(0,blue).\nb.\n"
+
+
+FUZZ_ATOMS = ["a", "b", "c", "p(1)", "__x", "__c_0", "__h0_1", "__g0_0", "__m", "__bot"]
+FUZZ_TOKENS = [":-", "not", ",", ".", "%", "(", ")", " ", "\n", *FUZZ_ATOMS]
+FUZZ_COMMANDS = ["parse", "solve", "wfs", "kernel-check", "3kernel-check", "3kernelize"]
+
+fuzz_literals = st.builds(
+    lambda negated, atom: "not " * negated + atom,
+    st.booleans(),
+    st.sampled_from(FUZZ_ATOMS),
+)
+fuzz_rules = st.builds(
+    lambda head, body: f"{head} :- {', '.join(body)}.\n",
+    st.sampled_from(["", *FUZZ_ATOMS]),
+    st.lists(fuzz_literals, min_size=1, max_size=3),
+)
+fuzz_facts = st.sampled_from(FUZZ_ATOMS).map("{}.\n".format)
+# mostly whole rules, so that about a quarter of the files parse
+fuzz_texts = st.lists(
+    st.one_of(
+        fuzz_rules,
+        fuzz_rules,
+        fuzz_rules,
+        fuzz_facts,
+        st.sampled_from(FUZZ_TOKENS),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@given(fuzz_texts)
+def test_cli_survives_any_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.lp"
+    path.write_text(text, encoding="utf-8")
+    output = io.StringIO()
+    for command in FUZZ_COMMANDS:
+        for extra in ([], ["--allow-reserved"]):
+            with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+                assert main([command, str(path), *extra]) in (0, 1, 2, 3)

@@ -412,14 +412,28 @@ LONG_RULES = (
 )
 
 
+def refuse_listing(monkeypatch, message):
+    """Make ``find_cycles`` and its circuit search (a path from an atom
+    back to itself) raise; path queries between two atoms still run."""
+    paths = cycles_module._paths
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    def queries_only(source, goal, *args, **kwargs):
+        if source == goal:
+            raise AssertionError(message)
+        return paths(source, goal, *args, **kwargs)
+
+    monkeypatch.setattr(cycles_module, "find_cycles", refuse)
+    monkeypatch.setattr(cycles_module, "_paths", queries_only)
+    return refuse
+
+
 def test_three_kernelize_lists_no_cycle(
     monkeypatch, pi5, case_i, case_ii, case_iii, case_iv
 ):
-    def refuse(*args, **kwargs):
-        raise AssertionError("three_kernelize listed cycles")
-
-    monkeypatch.setattr(cycles_module, "find_cycles", refuse)
-    monkeypatch.setattr(StructuralIndex, "cycles", refuse)
+    refuse_listing(monkeypatch, "three_kernelize listed cycles")
     long_rules = parse_program(LONG_RULES)
     for program in (pi5, case_i, case_ii, case_iii, case_iv, long_rules):
         _, trace = three_kernelize(program)
@@ -429,14 +443,18 @@ def test_three_kernelize_lists_no_cycle(
 
 
 def reference_condition_5(program):
-    """Condition 5 by its definition: every cycle, every position, every
-    handle atom on that cycle, flagged once per (rule, atom)."""
+    """Condition 5 by its definition, over networkx's circuits of the
+    witnessed steps: every circuit, every step on it, every witnessing
+    rule's handle atom on that circuit, flagged once per (rule, atom)."""
+    nx = pytest.importorskip("networkx")
+    steps = _witness_steps(program)
     flagged = set()
-    for cycle in find_cycles(program):
-        for i, rule in enumerate(cycle.rules):
-            for lit in cycle.handle(i):
-                if lit.atom in cycle.atoms:
-                    flagged.add((rule, lit.atom))
+    for atoms in nx.simple_cycles(nx.DiGraph(list(steps))):
+        for head, step in zip(atoms, atoms[1:] + atoms[:1]):
+            for rule in steps[head, step]:
+                for lit in rule.body:
+                    if lit != neg(step) and lit.atom in atoms:
+                        flagged.add((rule, lit.atom))
     return Counter(rule for rule, _atom in flagged)
 
 
@@ -454,9 +472,7 @@ def test_condition_5_matches_its_definition(program):
 def test_check_3kernel_builds_one_index_and_no_cycle(
     monkeypatch, pi5, pi6, case_i, case_ii, case_iii, case_iv
 ):
-    def refuse(*args, **kwargs):
-        raise AssertionError("check_3kernel built a Cycle")
-
+    refuse = refuse_listing(monkeypatch, "check_3kernel built a Cycle")
     built = []
     init = StructuralIndex.__init__
 
@@ -465,8 +481,6 @@ def test_check_3kernel_builds_one_index_and_no_cycle(
         init(self, program)
 
     monkeypatch.setattr(cycles_module, "Cycle", refuse)
-    monkeypatch.setattr(cycles_module, "find_cycles", refuse)
-    monkeypatch.setattr(StructuralIndex, "cycles", refuse)
     monkeypatch.setattr(StructuralIndex, "__init__", counting_init)
     triangle = encode_3col(graph(range(3), [(0, 1), (1, 2), (0, 2)]))
     for program in (pi5, pi6, case_i, case_ii, case_iii, case_iv, triangle):

@@ -107,6 +107,16 @@ def test_long_rule_simplify_requires_kernel_form():
         long_rule_simplify(parse_program("p :- not p, q. q :- not p."))
 
 
+def test_kernel_form_error_names_each_condition_once():
+    chain = "".join(f"a_{k} :- not a_{k + 1}.\n" for k in range(199))
+    with pytest.raises(KernelFormError) as caught:
+        long_rule_simplify(parse_program(chain + "p. q :- p."))
+    assert str(caught.value) == (
+        "long_rule_simplify requires kernel form; violations: "
+        "wfs-irreducible, negative-bodies-only, every-atom-in-some-body"
+    )
+
+
 def test_long_rule_simplify_in_cycle_rule():
     # a three-condition rule inside a two-cycle gets rerouted; without a
     # bare self-loop on p the guard cycle is emitted too (4 conditions
