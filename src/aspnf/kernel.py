@@ -75,7 +75,7 @@ def check_kernel(program: Program) -> KernelReport:
             violations.append(KernelViolation(COND_NEGATIVE_BODIES, rule))
     in_some_body: set[str] = set()
     for rule in program.rules:
-        in_some_body.update(rule.body_atoms)
+        in_some_body.update(lit.atom for lit in rule.body)
     for atom in sorted(program.atoms - in_some_body):
         violations.append(KernelViolation(COND_ATOM_IN_BODY, atom))
     return KernelReport(tuple(violations))
@@ -121,9 +121,11 @@ def antichain_to_kernel(antichain: AntiChain) -> Program:
     whose body asserts the component's atoms (via their complements)
     and denies the rest of the universe; the axiom
     ``__bot :- not __bot, not __m`` rejects models where no component
-    fires. Degenerate instance: the empty component over an empty
-    universe makes ``__m`` a fact, which ``check_kernel`` reports; the
-    construction is emitted literally rather than repaired.
+    fires. Degenerate instances, emitted literally rather than
+    repaired, and reported by ``check_kernel``: the empty component over
+    an empty universe makes ``__m`` a fact, and the empty anti-chain
+    leaves ``__m`` with no rule, so the well-founded model makes it
+    false.
     """
     rules: list[Rule] = []
     for atom in sorted(antichain.universe):
@@ -168,7 +170,8 @@ def kernelize(
     Enumerates the program's answer sets (they form an anti-chain over
     its atoms) and applies ``antichain_to_kernel``. The result is
     equivalent to the input modulo projection over the returned
-    universe.
+    universe. An inconsistent input gives the empty anti-chain, and so
+    a program outside kernel form (``__m`` has no rule).
     """
     answer_sets = enumerate_answer_sets(program, max_atoms)
     antichain = AntiChain(program.atoms, frozenset(answer_sets))

@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ReservedAtomError
 
@@ -42,8 +42,7 @@ def fresh_tags(atoms: Iterable[str], pattern: re.Pattern[str]) -> Iterator[int]:
     return (k for k in itertools.count() if str(k) not in taken)
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(NamedTuple):
     """A positive or negated ("not") occurrence of an atom in a rule body."""
 
     atom: str
@@ -79,10 +78,6 @@ class Rule:
     def is_fact(self) -> bool:
         return not self.body
 
-    @property
-    def body_atoms(self) -> frozenset[str]:
-        return frozenset(lit.atom for lit in self.body)
-
     def __str__(self) -> str:
         if not self.body:
             return f"{self.head}."
@@ -107,7 +102,7 @@ class Program:
         collected: set[str] = set()
         for rule in self.rules:
             collected.add(rule.head)
-            collected.update(rule.body_atoms)
+            collected.update(lit.atom for lit in rule.body)
         return frozenset(collected)
 
     def __iter__(self) -> Iterator[Rule]:

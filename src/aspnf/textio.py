@@ -78,7 +78,7 @@ _RULE_START = tuple(
     for x in _EXCLUDED
 )
 _LITERAL = tuple(
-    re.compile(rf"{_T}(?P<lit>(?P<neg>{_NOT}{_T})?{_atom(x)}){_T}(?P<sep>[,.])")
+    re.compile(rf"{_T}(?P<neg>{_NOT}{_T})?{_atom(x)}{_T}(?P<sep>[,.])")
     for x in _EXCLUDED
 )
 _LIST_ENTRY = re.compile(rf"{_T}(?:{_atom(_NOT)}{_T})?(?:(?P<comma>,)|\Z)")
@@ -110,8 +110,6 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
     # indices of ":- body." rules; their guards are named once every
     # atom of the input is known
     constraints: list[int] = []
-    # literal text as matched -> its Literal, shared within this parse
-    literals: dict[str, Literal] = {}
     pos = 0
     while True:
         m = match_head(text, pos)
@@ -134,11 +132,8 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
             m = match_literal(text, pos)
             if m is None:
                 _locate(text, pos, False, allow_reserved)
-            key, negated, name, args, sep = m.groups()
-            lit = literals.get(key)
-            if lit is None:
-                lit = literals[key] = Literal(_flat(name, args), negated is not None)
-            body.append(lit)
+            negated, name, args, sep = m.groups()
+            body.append(Literal(_flat(name, args), negated is not None))
             pos = m.end()
             if sep == ".":
                 break

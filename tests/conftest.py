@@ -4,11 +4,13 @@ and the ``programs()`` strategy of the property tests.
 ``oracle_answer_sets`` re-implements answer-set checking from scratch
 (its own reduct and closure code, no pruning) so that the library's
 enumerator is cross-checked against a second, independent route;
-``oracle_well_founded`` does the same for the well-founded model.
+``oracle_well_founded`` does the same for the well-founded model, and
+``oracle_cycles`` for the negative cycles and their AND handles.
 """
 
 import itertools
 import random
+from collections import defaultdict, namedtuple
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -176,6 +178,42 @@ def oracle_well_founded(program: Program) -> WfsResult:
         if (next_lower, next_upper) == (lower, upper):
             return WfsResult(lower, universe - upper, upper - lower)
         lower, upper = next_lower, next_upper
+
+
+OracleCycle = namedtuple("OracleCycle", "atoms rules handles")
+
+
+def oracle_cycles(program: Program) -> list[OracleCycle]:
+    """Every negative cycle by its definition, over networkx's
+    elementary circuits of the witnessed steps: a rule witnesses ``h ->
+    b`` when its body has ``not b`` and the rest of the body does not
+    mention ``h``.
+
+    One entry per circuit and combination of witnessing rules, the
+    combinations in ``itertools.product`` order. ``atoms`` starts at
+    the least atom, ``rules[i]`` takes the step from ``atoms[i]`` to the
+    next atom, and ``handles[i]`` is its body minus ``not`` that atom.
+    """
+    nx = pytest.importorskip("networkx")
+    steps = defaultdict(list)
+    for rule in program.rules:
+        for lit in rule.body:
+            rest = [o for o in rule.body if o != lit]
+            if lit.negated and all(o.atom != rule.head for o in rest):
+                steps[rule.head, lit.atom].append(rule)
+    found = []
+    for circuit in nx.simple_cycles(nx.DiGraph(list(steps))):
+        least = circuit.index(min(circuit))
+        atoms = tuple(circuit[least:] + circuit[:least])
+        successors = atoms[1:] + atoms[:1]
+        witnesses = [steps[step] for step in zip(atoms, successors)]
+        for rules in itertools.product(*witnesses):
+            handles = tuple(
+                tuple(lit for lit in rule.body if lit != neg(step))
+                for rule, step in zip(rules, successors)
+            )
+            found.append(OracleCycle(atoms, rules, handles))
+    return found
 
 
 def all_antichains(atoms) -> list[frozenset[frozenset[str]]]:

@@ -38,6 +38,7 @@ def test_test_only_structural_api_is_gone():
         assert name not in aspnf.__all__
         assert not hasattr(aspnf, name), name
     assert not hasattr(aspnf.DependencyGraph, "negative_edges")
+    assert not hasattr(aspnf.Rule, "body_atoms")
     # the index lists no circuit; only find_cycles keeps a cap
     assert "DEFAULT_MAX_CYCLES" not in aspnf.__all__
     for name in ("circuits", "cycles"):

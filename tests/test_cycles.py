@@ -1,5 +1,3 @@
-import itertools
-import math
 import random
 from collections import Counter, defaultdict
 
@@ -32,7 +30,7 @@ from aspnf import cycles as cycles_module
 from aspnf import normalize as normalize_module
 from aspnf.cycles import StructuralIndex
 from aspnf.generate import graph
-from conftest import programs, rename_atoms
+from conftest import oracle_cycles, programs, rename_atoms
 
 
 def cycle_by_atoms(cycles, atoms):
@@ -112,19 +110,7 @@ def test_find_cycles_long_cycle_without_recursion():
     assert cycle.atoms[:3] == ("a0", "a1", "a2")
 
 
-def _witness_steps(program):
-    """Rules witnessing each step h -> b of a cycle, in program order."""
-    steps = defaultdict(list)
-    for rule in program.rules:
-        for lit in rule.body:
-            rest = [o for o in rule.body if o != lit]
-            if lit.negated and all(o.atom != rule.head for o in rest):
-                steps[rule.head, lit.atom].append(rule)
-    return steps
-
-
 def test_find_cycles_matches_networkx():
-    nx = pytest.importorskip("networkx")
     rng = random.Random(2024)
     for _ in range(40):
         n_atoms = rng.randint(2, 8)
@@ -135,24 +121,16 @@ def test_find_cycles_matches_networkx():
             seed=rng.randrange(10**6),
         )
         for candidate in (program, long_rule_simplify(program)[0]):
-            steps = _witness_steps(candidate)
-            options = {}
-            for atoms in nx.simple_cycles(nx.DiGraph(list(steps))):
-                least = atoms.index(min(atoms))
-                atoms = tuple(atoms[least:] + atoms[:least])
-                options[atoms] = [
-                    steps[a, atoms[(i + 1) % len(atoms)]] for i, a in enumerate(atoms)
-                ]
-            total = sum(math.prod(map(len, o)) for o in options.values())
+            # sorted by size, then atoms; each circuit's witness
+            # combinations keep their product order
+            expected = sorted(
+                oracle_cycles(candidate), key=lambda c: (len(c.atoms), c.atoms)
+            )
+            total = len(expected)
             cycles = find_cycles(candidate, max_cycles=total)
-            assert Counter(c.atoms for c in cycles) == {
-                atoms: math.prod(map(len, o)) for atoms, o in options.items()
-            }
-            for atoms, o in options.items():
-                witnessed = [c.rules for c in cycles if c.atoms == atoms]
-                assert witnessed == list(itertools.product(*o))
-            keys = [(c.size, c.atoms) for c in cycles]
-            assert keys == sorted(keys)
+            assert [
+                (c.atoms, c.rules, tuple(map(c.handle, range(c.size)))) for c in cycles
+            ] == expected
             if total:
                 with pytest.raises(CycleCapExceededError):
                     find_cycles(candidate, max_cycles=total - 1)
@@ -345,14 +323,16 @@ def bridged_programs(draw):
 
 @given(st.one_of(programs(), kernel_expansions, bridged_programs()))
 def test_index_matches_cycles(program):
-    cycles = find_cycles(program)
+    cycles = oracle_cycles(program)
     index = StructuralIndex(program)
     rules = {rule for c in cycles for rule in c.rules}
     atoms = {atom for c in cycles for atom in c.atoms}
     assert index.in_cycle_rules == rules
     assert index.in_cycle_atoms == atoms
-    assert {(rule, delta) for (rule, _), delta in index.handles.items()} == {
-        (c.rules[i], c.handle(i)) for c in cycles for i in range(c.size)
+    assert index.handles == {
+        (rule, step): handle
+        for c in cycles
+        for rule, step, handle in zip(c.rules, c.atoms[1:] + c.atoms[:1], c.handles)
     }
     auxiliary = defaultdict(list)
     for rule in program.rules:
@@ -365,7 +345,7 @@ def test_index_matches_cycles(program):
 @given(st.one_of(bridged_programs(), kernel_expansions))
 def test_bridges_pass_the_side_condition_on_cycles(program):
     # some cycle through the anchor and a different one through the target
-    cycles = find_cycles(program)
+    cycles = oracle_cycles(program)
     for bridge in find_bridges(program):
         first = neg(bridge.chain_atoms[0])
         if bridge.kind == OR_BRIDGE:
@@ -374,8 +354,8 @@ def test_bridges_pass_the_side_condition_on_cycles(program):
             anchors = [
                 c
                 for c in cycles
-                for i, rule in enumerate(c.rules)
-                if rule == bridge.anchor_rule and c.handle(i) == (first,)
+                for rule, handle in zip(c.rules, c.handles)
+                if rule == bridge.anchor_rule and handle == (first,)
             ]
         targets = [c for c in cycles if bridge.target_atom in c.atoms]
         assert any(a != t for a in anchors for t in targets)
@@ -443,18 +423,16 @@ def test_three_kernelize_lists_no_cycle(
 
 
 def reference_condition_5(program):
-    """Condition 5 by its definition, over networkx's circuits of the
-    witnessed steps: every circuit, every step on it, every witnessing
-    rule's handle atom on that circuit, flagged once per (rule, atom)."""
-    nx = pytest.importorskip("networkx")
-    steps = _witness_steps(program)
-    flagged = set()
-    for atoms in nx.simple_cycles(nx.DiGraph(list(steps))):
-        for head, step in zip(atoms, atoms[1:] + atoms[:1]):
-            for rule in steps[head, step]:
-                for lit in rule.body:
-                    if lit != neg(step) and lit.atom in atoms:
-                        flagged.add((rule, lit.atom))
+    """Condition 5 by its definition, over the oracle's cycles: every
+    cycle, every rule on it, every handle atom of that rule on that
+    cycle, flagged once per (rule, atom)."""
+    flagged = {
+        (rule, lit.atom)
+        for c in oracle_cycles(program)
+        for rule, handle in zip(c.rules, c.handles)
+        for lit in handle
+        if lit.atom in c.atoms
+    }
     return Counter(rule for rule, _atom in flagged)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from aspnf import (
     DependencyGraph,
+    Literal,
     Program,
     ReservedAtomError,
     Rule,
@@ -12,6 +13,7 @@ from aspnf import (
     check_kernel,
     enumerate_answer_sets,
     neg,
+    parse_program,
     pos,
     well_founded,
 )
@@ -38,6 +40,23 @@ def test_build_program_deduplicates_rules():
 def test_rule_deduplicates_body_literals():
     rule = Rule("a", (neg("b"), neg("b"), pos("c")))
     assert rule.body == (neg("b"), pos("c"))
+
+
+def test_literal_contract():
+    assert repr(neg("a")) == "Literal(atom='a', negated=True)"
+    assert (str(neg("a")), str(pos("a"))) == ("not a", "a")
+    assert Literal("a") == pos("a") == Literal(atom="a", negated=False)
+    assert Literal(negated=True, atom="a") == neg("a")
+    # by atom, then by polarity
+    literals = [neg("b"), pos("b"), neg("a"), pos("c"), pos("a")]
+    assert sorted(literals) == [pos("a"), neg("a"), pos("b"), neg("b"), pos("c")]
+    # parsed and constructed literals are interchangeable
+    (parsed,) = parse_program("h :- not a, b.").rules
+    assert parsed.body == (neg("a"), pos("b"))
+    assert list(map(hash, parsed.body)) == [hash(neg("a")), hash(pos("b"))]
+    merged = Rule("h", parsed.body + (neg("a"), pos("b"), neg("b")))
+    assert merged.body == (neg("a"), pos("b"), neg("b"))
+    assert {parsed, Rule("h", (neg("a"), pos("b")))} == {parsed}
 
 
 def test_build_program_rejects_reserved_atoms():

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aspnf import (
     BridgeNotFoundError,
@@ -384,6 +385,37 @@ def test_end_to_end_random_corpus_small():
         ]
         assert len(restored) == len(set(restored)) == len(original)
         assert set(restored) == original
+
+
+def answers_in_original(program, *traces):
+    """Answer sets of ``program`` mapped back through ``traces``, the
+    last transformation first."""
+    found = set()
+    for answer in enumerate_answer_sets(program, max_atoms=len(program.atoms)):
+        for trace in traces:
+            answer = reconstruct(answer, trace)
+        found.add(answer)
+    return found
+
+
+kernel_draws = st.builds(
+    lambda atoms, extra, seed: random_kernel_program(atoms, atoms + extra, seed=seed),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+
+
+@given(kernel_draws)
+def test_three_kernelize_is_sound_and_reenters(program):
+    # long rules, and the result read back as input with its "__" atoms
+    expected = set(oracle_answer_sets(program))
+    result, trace = three_kernelize(program)
+    assert answers_in_original(result, trace) == expected
+    assert parse_program(render_program(result), allow_reserved=True) == result
+    if check_kernel(result).is_kernel:
+        again, second = three_kernelize(result)
+        assert answers_in_original(again, second, trace) == expected
 
 
 def test_three_kernelize_composite_pipeline(case_i):
