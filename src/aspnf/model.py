@@ -60,19 +60,22 @@ def neg(atom: str) -> Literal:
     return Literal(atom, True)
 
 
-@dataclass(frozen=True, order=True)
-class Rule:
+class _RuleFields(NamedTuple):
+    head: str
+    body: tuple[Literal, ...] = ()
+
+
+class Rule(_RuleFields):
     """A rule ``head :- body`` whose body may be empty (a fact).
 
     Duplicate body literals are dropped on construction, keeping the
     first occurrence; body order is otherwise preserved.
     """
 
-    head: str
-    body: tuple[Literal, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", tuple(dict.fromkeys(self.body)))
+    def __new__(cls, head: str, body: Iterable[Literal] = ()) -> Rule:
+        return super().__new__(cls, head, tuple(dict.fromkeys(body)))
 
     @property
     def is_fact(self) -> bool:

@@ -38,6 +38,19 @@ S iff some rule with head that atom has a body true in S:
    ``p :- not p, q`` makes ``p`` true, and ``p`` then needs another
    rule to support it: the rule acts as a constraint.
 
+The completion is incremental. A search node inherits a summary of
+its parent's fixpoint: the atoms still undecided there, the true atoms
+whose support is not settled, and the bitsets of blocked rules and of
+rules with a false head. Decided atoms stay decided in every
+sub-interval, so each pass scans only the inherited undecided atoms
+and ORs the newly decided ones into the two bitsets. Once a true atom
+has exactly one unblocked rule, inference 1 makes that rule's body true
+in the same pass; from then on every literal of that body holds in
+every sub-interval, so the rule stays unblocked and the atom can give
+no further inference and no conflict. It leaves the summary. Each pass
+therefore draws exactly the inferences the full rescan would draw, and
+the search visits the same nodes.
+
 Rules with an atom both positive and negative in their body are never
 true and take no part. Only the gamma fixpoint is used for the
 well-founded model: the completion is stronger (on ``q :- not q.
@@ -213,14 +226,20 @@ def _tighten(bp: _BitProgram, lower: int, upper: int) -> tuple[int, int] | None:
         lower, upper = tightened_lower, tightened_upper
 
 
-def _completion_index(bp: _BitProgram) -> tuple:
-    """What ``_complete`` reads: the rules that can fire at all, as
-    ``(head, pos, neg)`` masks; per atom, its bit and, as bitsets over
-    those rules, the rules it heads, occurs in positively, negatively
-    and at all; and the bitset of rules holding ``not head``.
+def _completion_index(bp: _BitProgram) -> tuple[tuple, tuple]:
+    """What ``_complete`` reads, and the summary of the root interval.
 
-    A rule with an atom in both parts of its body never has a true body,
-    so it supports nothing and constrains nothing."""
+    The index holds the rules that can fire at all, as ``(head, pos,
+    neg)`` masks, and the bitset of those rules holding ``not head``. A
+    rule with an atom in both parts of its body never has a true body,
+    so it supports nothing and constrains nothing.
+
+    A summary of an interval is ``(entries, supports, blocked,
+    false_heads)``: the entries of its undecided atoms, each its bit
+    and, as bitsets over the rules, the rules it heads, occurs in
+    positively, negatively and at all; the ``heads`` bitsets of the true
+    atoms whose support is not settled; the blocked rules; the rules
+    whose head is false. At the root every atom is undecided."""
     bodies = tuple(rule for rule in bp.rules if not rule[1] & rule[2])
     heads = [0] * len(bp.atoms)
     positive = [0] * len(bp.atoms)
@@ -235,11 +254,11 @@ def _completion_index(bp: _BitProgram) -> tuple:
             negative[i] |= rule
         if neg_mask & head:
             self_negating |= rule
-    atoms = tuple(
+    entries = tuple(
         (1 << i, heads[i], positive[i], negative[i], positive[i] | negative[i])
         for i in range(len(bp.atoms))
     )
-    return atoms, bodies, self_negating
+    return (bodies, self_negating), (entries, (), 0, 0)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -250,44 +269,56 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _complete(index: tuple, lower: int, upper: int) -> tuple[int, int] | None:
+def _complete(
+    index: tuple, summary: tuple, lower: int, upper: int
+) -> tuple[tuple, int, int] | None:
     """Narrow ``[lower, upper]`` by the completion inferences of the
-    module docstring until they no longer move it; None on a conflict.
-    Each pass draws every inference from the same interval."""
-    atoms, bodies, self_negating = index
+    module docstring until they no longer move it; None on a conflict,
+    else the summary of the narrowed interval and its bounds.
+
+    ``summary`` describes an interval that contains ``[lower, upper]``
+    (``_completion_index``). Each pass scans only the entries that were
+    undecided in the previous one and draws every inference from the
+    same interval."""
+    bodies, self_negating = index
+    entries, supports, blocked, false_heads = summary
     while True:
-        # Bitsets over rules: blocked bodies, bodies with at least one
-        # and with at least two undecided literals, rules whose head is
-        # false or undecided.
-        blocked = open_once = open_twice = false_heads = open_heads = 0
-        true_atoms = []
-        open_atoms = []
-        for bit, heads, pos_rules, neg_rules, lit_rules in atoms:
+        # Bitsets over rules: bodies with at least one and with at least
+        # two undecided literals, rules whose head is undecided.
+        open_once = open_twice = open_heads = 0
+        open_entries = []
+        true_heads = list(supports)
+        for entry in entries:
+            bit, heads, pos_rules, neg_rules, lit_rules = entry
             if bit & lower:
                 blocked |= neg_rules
-                true_atoms.append(heads)
+                true_heads.append(heads)
             elif bit & upper:
                 open_twice |= open_once & lit_rules
                 open_once |= lit_rules
                 open_heads |= heads
-                open_atoms.append((bit, heads))
+                open_entries.append(entry)
             else:
                 blocked |= pos_rules
                 false_heads |= heads
         live = ~blocked
         new_lower, new_upper = lower, upper
-        # 1. Support.
-        for heads in true_atoms:
+        # 1. Support. A true atom with one live rule is settled once this
+        # pass makes that rule's body true (module docstring).
+        unsettled = []
+        for heads in true_heads:
             support = heads & live
             if not support:
                 return None
-            if not support & (support - 1) and support & open_once:
+            if support & (support - 1):
+                unsettled.append(heads)
+            else:
                 _head, pos_mask, neg_mask = bodies[support.bit_length() - 1]
                 new_lower |= pos_mask
                 new_upper &= ~neg_mask
-        for bit, heads in open_atoms:
-            if not heads & live:
-                new_upper &= ~bit
+        for entry in open_entries:
+            if not entry[1] & live:
+                new_upper &= ~entry[0]
         # 2. False head.
         refuted = false_heads & live
         if refuted & ~open_once:
@@ -301,43 +332,48 @@ def _complete(index: tuple, lower: int, upper: int) -> tuple[int, int] | None:
             new_lower |= bodies[r][0]
         if new_lower & ~new_upper:
             return None
+        entries, supports = open_entries, unsettled
         if new_lower == lower and new_upper == upper:
-            return lower, upper
+            return (entries, supports, blocked, false_heads), lower, upper
         lower, upper = new_lower, new_upper
 
 
 def _propagate(
-    bp: _BitProgram, index: tuple, lower: int, upper: int
-) -> tuple[int, int] | None:
+    bp: _BitProgram, index: tuple, summary: tuple, lower: int, upper: int
+) -> tuple[tuple, int, int] | None:
     """Alternate the completion and the gamma fixpoint until neither
     narrows ``[lower, upper]``; None when the interval holds no answer
-    set. Without positive body literals the completion alone is enough
+    set, else the summary of the narrowed interval and its bounds.
+    Without positive body literals the completion alone is enough
     (module docstring)."""
     while True:
-        completed = _complete(index, lower, upper)
+        completed = _complete(index, summary, lower, upper)
         if completed is None or bp.negative_only:
             return completed
-        bounds = _tighten(bp, *completed)
-        if bounds is None or bounds == completed:
-            return bounds
+        summary, lower, upper = completed
+        bounds = _tighten(bp, lower, upper)
+        if bounds is None:
+            return None
+        if bounds == (lower, upper):
+            return completed
         lower, upper = bounds
 
 
 def _search(bp: _BitProgram, found: list[int]) -> tuple[int, int]:
     """Bound-and-branch over ``[lower, upper]`` intervals of the subset
-    lattice, propagated at every node. Appends the answer sets to
-    ``found``; returns the numbers of search nodes and of conflicts
-    (nodes that hold no answer set)."""
-    index = _completion_index(bp)
+    lattice, propagated at every node from the summary of its parent's
+    interval. Appends the answer sets to ``found``; returns the numbers
+    of search nodes and of conflicts (nodes that hold no answer set)."""
+    index, root = _completion_index(bp)
     nodes = conflicts = 0
-    pending = [(0, bp.full)]
+    pending = [(root, 0, bp.full)]
     while pending:
         nodes += 1
-        bounds = _propagate(bp, index, *pending.pop())
-        if bounds is None:
+        propagated = _propagate(bp, index, *pending.pop())
+        if propagated is None:
             conflicts += 1
             continue
-        lower, upper = bounds
+        summary, lower, upper = propagated
         if lower == upper:
             if bp.gamma(lower) == lower:
                 found.append(lower)
@@ -346,8 +382,8 @@ def _search(bp: _BitProgram, found: list[int]) -> tuple[int, int]:
             continue
         undecided = upper & ~lower
         bit = undecided & -undecided
-        pending.append((lower, upper & ~bit))
-        pending.append((lower | bit, upper))
+        pending.append((summary, lower, upper & ~bit))
+        pending.append((summary, lower | bit, upper))
     return nodes, conflicts
 
 

@@ -60,10 +60,14 @@ _ARG = rf"{_T}(?:{ARG.pattern}){_T}"
 
 
 def _atom(excluded: str) -> str:
-    """ATOM, skipping names that start with ``excluded``."""
+    """ATOM, skipping names that start with ``excluded``. An argument
+    list is the group ``args`` when it holds no blank or comment, else
+    the group ``spaced``, which ``_flat`` strips."""
+    arg = rf"(?:{ARG.pattern})"
     return (
         rf"(?!{excluded})(?P<name>{NAME.pattern})"
-        rf"(?:{_T}(?P<args>\({_ARG}(?:,{_ARG})*\)))?"
+        rf"(?:{_T}(?:(?P<args>\({arg}(?:,{arg})*\))"
+        rf"|(?P<spaced>\({_ARG}(?:,{_ARG})*\))))?"
     )
 
 
@@ -115,10 +119,10 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
         m = match_head(text, pos)
         if m is None:
             _locate(text, pos, True, allow_reserved)
-        atom, name, args, sep, constraint = m.groups()
+        atom, name, args, spaced, sep, constraint = m.groups()
         pos = m.end()
         if atom is not None:
-            head = _flat(name, args)
+            head = _flat(name, args, spaced)
             if sep == ".":
                 rules.append(Rule(head))
                 continue
@@ -132,12 +136,12 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
             m = match_literal(text, pos)
             if m is None:
                 _locate(text, pos, False, allow_reserved)
-            negated, name, args, sep = m.groups()
-            body.append(Literal(_flat(name, args), negated is not None))
+            negated, name, args, spaced, sep = m.groups()
+            body.append(Literal(_flat(name, args, spaced), negated is not None))
             pos = m.end()
             if sep == ".":
                 break
-        rules.append(Rule(head, tuple(body)))
+        rules.append(Rule(head, body))
     if constraints:
         atoms = {rule.head for rule in rules}
         atoms.update(lit.atom for rule in rules for lit in rule.body)
@@ -148,9 +152,12 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
     return Program(tuple(rules))
 
 
-def _flat(name: str, args: str | None) -> str:
-    """``color(0, red)`` as the single atom ``color(0,red)``."""
-    return name if args is None else name + _BLANK.sub("", args)
+def _flat(name: str, args: str | None, spaced: str | None) -> str:
+    """``color(0, red)`` as the single atom ``color(0,red)``; only an
+    argument list with blanks or comments (``spaced``) is rewritten."""
+    if args is not None:
+        return name + args
+    return name if spaced is None else name + _BLANK.sub("", spaced)
 
 
 def _span(text: str, offset: int) -> SourceSpan:
@@ -221,9 +228,9 @@ def split_atom_list(text: str) -> list[str]:
         if m is None:
             column = _TRIVIA.match(text, pos).end() + 1
             raise AspnfError(f"malformed atom list {text!r} at column {column}")
-        name, args, comma = m.groups()
+        name, args, spaced, comma = m.groups()
         if name is not None:
-            atoms.append(_flat(name, args))
+            atoms.append(_flat(name, args, spaced))
         if comma is None:
             return atoms
         pos = m.end()

@@ -1,12 +1,15 @@
 """The answer-set search: exact against the independent oracles on
-generated programs, and its debug record of search counters."""
+generated programs, its incremental propagation, and its debug record
+of search counters."""
 
 import logging
 
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aspnf import Program, Rule, enumerate_answer_sets, neg, well_founded
 from aspnf.generate import encode_3col, graph
+from aspnf.semantics import _BitProgram, _completion_index, _propagate
 from conftest import oracle_answer_sets, oracle_well_founded, programs, rename_atoms
 
 
@@ -18,6 +21,55 @@ def test_enumeration_matches_oracle(program):
 @given(programs())
 def test_well_founded_matches_oracle(program):
     assert well_founded(program) == oracle_well_founded(program)
+
+
+def _normal(propagated):
+    """A propagation result with its true atoms' supports in one order."""
+    if propagated is None:
+        return None
+    (entries, supports, blocked, false_heads), lower, upper = propagated
+    return (list(entries), sorted(supports), blocked, false_heads), lower, upper
+
+
+def _summary_of(root, lower, upper):
+    """The summary of ``[lower, upper]`` by its definition: the entries
+    of the undecided atoms, the rules of the true atoms with two or more
+    live rules, the blocked rules and the rules with a false head."""
+    entries, supports, blocked, false_heads = root[0], [], 0, 0
+    for bit, heads, pos_rules, neg_rules, _lit_rules in entries:
+        if bit & lower:
+            blocked |= neg_rules
+            supports.append(heads)
+        elif not bit & upper:
+            blocked |= pos_rules
+            false_heads |= heads
+    undecided = [entry for entry in entries if entry[0] & upper & ~lower]
+    supports = [h for h in supports if h & ~blocked & (h & ~blocked) - 1]
+    return (undecided, sorted(supports), blocked, false_heads), lower, upper
+
+
+@given(programs(), st.data())
+def test_a_node_propagates_from_its_parents_summary(program, data):
+    # Down a random branch path, propagating a child from the summary of
+    # its parent's interval gives what propagating it from the root
+    # summary gives: the same interval and summary, or None. Each
+    # summary is the one its interval defines.
+    bp = _BitProgram(program.rules, program.atoms)
+    index, root = _completion_index(bp)
+    node = _normal(_propagate(bp, index, root, 0, bp.full))
+    while node is not None:
+        summary, lower, upper = node
+        assert node == _summary_of(root, lower, upper)
+        if lower == upper:
+            break
+        undecided = [i for i in range(len(bp.atoms)) if (upper & ~lower) >> i & 1]
+        bit = 1 << data.draw(st.sampled_from(undecided))
+        if data.draw(st.booleans()):
+            lower |= bit
+        else:
+            upper &= ~bit
+        node = _normal(_propagate(bp, index, summary, lower, upper))
+        assert node == _normal(_propagate(bp, index, root, lower, upper))
 
 
 def _cycle(nodes):
@@ -36,13 +88,15 @@ def _search_stats(caplog, g):
 
 
 def test_search_record(caplog):
-    # 3-colourings of the cycle C_n: fewer than 3 search nodes per answer.
-    for n in (6, 8, 10):
+    # 3-colourings of the cycle C_n: fewer than 3 search nodes per answer,
+    # and exactly the nodes and conflicts of the current pruning.
+    for n, nodes in ((6, 131), (8, 515), (10, 2051)):
         stats = _search_stats(caplog, graph(range(n), _cycle(list(range(n)))))
         assert stats["atoms"] == 8 * n and stats["rules"] == 11 * n
         assert stats["components"] == 1
         assert stats["answers"] == 2**n + 2
         assert stats["conflicts"] < stats["nodes"] < 3 * stats["answers"], stats
+        assert (stats["nodes"], stats["conflicts"]) == (nodes, 0), stats
 
 
 def test_search_record_of_disjoint_components(caplog):
@@ -54,6 +108,7 @@ def test_search_record_of_disjoint_components(caplog):
     assert stats["answers"] == 972
     assert stats["rules"] == 6 * 9 + 5 * 8
     assert stats["nodes"] < 3 * (18 + 18 + 3), stats
+    assert (stats["nodes"], stats["conflicts"]) == (75, 0), stats
 
 
 def test_uncolourable_first_component_ends_the_search(caplog):
@@ -63,6 +118,7 @@ def test_uncolourable_first_component_ends_the_search(caplog):
     assert stats["components"] == 2
     assert stats["answers"] == 0
     assert stats["nodes"] < 50, stats
+    assert (stats["nodes"], stats["conflicts"]) == (11, 6), stats
 
 
 EVEN_LOOP = Program((Rule("x0", (neg("x1"),)), Rule("x1", (neg("x0"),))))
