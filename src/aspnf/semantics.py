@@ -44,12 +44,13 @@ whose support is not settled, and the bitsets of blocked rules and of
 rules with a false head. Decided atoms stay decided in every
 sub-interval, so each pass scans only the inherited undecided atoms
 and ORs the newly decided ones into the two bitsets. Once a true atom
-has exactly one unblocked rule, inference 1 makes that rule's body true
-in the same pass; from then on every literal of that body holds in
-every sub-interval, so the rule stays unblocked and the atom can give
-no further inference and no conflict. It leaves the summary. Each pass
-therefore draws exactly the inferences the full rescan would draw, and
-the search visits the same nodes.
+has exactly one unblocked rule, inference 1 in the same pass decides
+every literal of that rule's body its way, or finds a conflict. From
+then on the body holds in every sub-interval, so the rule stays
+unblocked and the atom can give no further inference and no conflict;
+it leaves the summary. Each pass therefore draws exactly the
+inferences a rescan of every atom would draw, and the search visits
+the same nodes.
 
 Rules with an atom both positive and negative in their body are never
 true and take no part. Only the gamma fixpoint is used for the
