@@ -126,8 +126,10 @@ def _read_graph(path: str):
             if line.startswith("nodes:"):
                 nodes.extend(int(tok) for tok in line[len("nodes:"):].split())
             elif line.startswith("edge:"):
-                u, v = (int(tok) for tok in line[len("edge:"):].split())
-                edges.append((u, v))
+                ends = line[len("edge:"):].split()
+                if len(ends) != 2:
+                    raise ValueError("expected two node ids after 'edge:'")
+                edges.append((int(ends[0]), int(ends[1])))
             else:
                 raise AspnfError(f"{path}:{lineno}: unrecognized line {line!r}")
         except ValueError as exc:

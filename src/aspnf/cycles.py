@@ -18,13 +18,14 @@ Membership needs no cycle list. A rule witnesses the step ``h -> b``
 when its body has ``not b`` and the rest of the body does not mention
 ``h``; it is in some cycle iff ``b == h`` or ``b`` lies in the strongly
 connected component of ``h`` in the graph of steps. So one witness pass
-and one Tarjan pass (iterative) give the in-cycle rules and atoms, the
-AND handles and the auxiliary rules, gathered per program into a
-:class:`StructuralIndex`; the long-rule rewrite and the bridge search
-read only that. Whether a bridge target lies in a cycle other than the
-anchor's is a component question too, except for a self-loop anchor
-``p :- not p, not c`` whose chain leads back to ``p`` (see
-:func:`find_bridges`).
+and one Tarjan pass (iterative) give the in-cycle rules and atoms and
+the AND handles, gathered per program into a :class:`StructuralIndex`,
+which also tells whether a rule is auxiliary
+(:meth:`StructuralIndex.is_auxiliary`); the long-rule rewrite and the
+bridge search read only that index. Whether a bridge target lies in a
+cycle other than the anchor's is a component question too, except for
+a self-loop anchor ``p :- not p, not c`` whose chain leads back to
+``p`` (see :func:`find_bridges`).
 
 The index lists nothing. Condition 5 of the 3-kernel check asks one
 path query per handle atom (:meth:`StructuralIndex.on_circuit`, with
@@ -261,15 +262,15 @@ def _paths(
 
 
 class StructuralIndex:
-    """Cycle membership, AND handles and auxiliary rules of a program,
-    from one witness pass and one Tarjan pass, with no cycle listed.
+    """Cycle membership and AND handles of a program, from one witness
+    pass and one Tarjan pass, with no cycle listed.
 
     A rule witnessing the step ``head -> b`` (``witnesses`` lists them
     per step) is in some cycle iff ``b == head`` or ``b`` lies in the
     head's component: the shortest path from ``b`` back to the head
-    closes an elementary cycle. ``auxiliary`` maps each in-cycle atom
-    to its auxiliary rules, in program order; :attr:`handles` comes
-    from the same two passes when asked for.
+    closes an elementary cycle. :meth:`is_auxiliary` answers for one
+    rule from the in-cycle sets; :attr:`handles` comes from the same
+    two passes when asked for.
     """
 
     def __init__(self, program: Program) -> None:
@@ -301,11 +302,6 @@ class StructuralIndex:
             rule for _step, rules in self._cycle_steps for rule in rules
         )
         self.in_cycle_atoms = frozenset(rule.head for rule in self.in_cycle_rules)
-        auxiliary: dict[str, list[Rule]] = defaultdict(list)
-        for rule in program.rules:
-            if self.is_auxiliary(rule):
-                auxiliary[rule.head].append(rule)
-        self.auxiliary = {head: tuple(rules) for head, rules in auxiliary.items()}
 
     @cached_property
     def handles(self) -> dict[tuple[Rule, str], tuple[Literal, ...]]:
@@ -399,8 +395,8 @@ def find_bridges(program: Program) -> tuple[Bridge, ...]:
 
     candidates = [
         (OR_BRIDGE, rule, rule.body)
-        for rules in index.auxiliary.values()
-        for rule in rules
+        for rule in program.rules
+        if index.is_auxiliary(rule)
     ]
     candidates += [
         (AND_BRIDGE, rule, delta) for (rule, _), delta in index.handles.items()

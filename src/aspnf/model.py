@@ -1,4 +1,4 @@
-"""Ground normal logic programs and their dependency structure.
+"""Ground normal logic programs.
 
 Atoms are plain strings; predicate-style names such as ``color(0,red)``
 are opaque, there is no term structure. Rules and programs are immutable
@@ -108,9 +108,6 @@ class Program:
             collected.update(lit.atom for lit in rule.body)
         return frozenset(collected)
 
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
     def __len__(self) -> int:
         return len(self.rules)
 
@@ -137,19 +134,3 @@ def _check_atom(name: str) -> None:
         )
     if not _FLAT_ATOM.fullmatch(name):
         raise ValueError(f"malformed atom name: {name!r}")
-
-
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Atom-level dependencies: one edge per (head, body atom, polarity)."""
-
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str, bool]]  # (from, to, negated)
-
-
-def build_dependency_graph(program: Program) -> DependencyGraph:
-    edges: set[tuple[str, str, bool]] = set()
-    for rule in program.rules:
-        for lit in rule.body:
-            edges.add((rule.head, lit.atom, lit.negated))
-    return DependencyGraph(program.atoms, frozenset(edges))

@@ -44,7 +44,6 @@ from .model import (
     Literal,
     Program,
     Rule,
-    build_dependency_graph,
     fresh_tags,
     is_reserved,
     neg,
@@ -246,12 +245,17 @@ def _quote(name: str) -> str:
 
 
 def export_dot(program: Program) -> str:
-    """Dependency graph in DOT format, negative edges dashed."""
-    graph = build_dependency_graph(program)
+    """Dependency graph in DOT format: one vertex per atom and one edge
+    per (head, body atom, polarity), negative edges dashed."""
+    edges = {
+        (rule.head, lit.atom, lit.negated)
+        for rule in program.rules
+        for lit in rule.body
+    }
     lines = ["digraph G {\n"]
-    for atom in sorted(graph.vertices):
+    for atom in sorted(program.atoms):
         lines.append(f"  {_quote(atom)};\n")
-    for source, target, negated in sorted(graph.edges):
+    for source, target, negated in sorted(edges):
         style = " [style=dashed]" if negated else ""
         lines.append(f"  {_quote(source)} -> {_quote(target)}{style};\n")
     lines.append("}\n")

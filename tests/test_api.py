@@ -33,12 +33,17 @@ def test_test_only_structural_api_is_gone():
         "is_purely_negative",
         "is_wfs_irreducible",
         "AnswerSetCollection",
+        "DependencyGraph",
+        "build_dependency_graph",
     )
     for name in deleted:
         assert name not in aspnf.__all__
         assert not hasattr(aspnf, name), name
-    assert not hasattr(aspnf.DependencyGraph, "negative_edges")
     assert not hasattr(aspnf.Rule, "body_atoms")
+    assert not hasattr(aspnf.Program, "__iter__")
+    # is_auxiliary is the one way to ask whether a rule is auxiliary
+    index = aspnf.cycles.StructuralIndex(aspnf.parse_program("p :- not p. p :- not a."))
+    assert not hasattr(index, "auxiliary")
     # the index lists no circuit; only find_cycles keeps a cap
     assert "DEFAULT_MAX_CYCLES" not in aspnf.__all__
     for name in ("circuits", "cycles"):

@@ -190,6 +190,12 @@ def test_graph_file_errors(tmp_path, capsys):
     bad.write_text("nodes: 0 1\nedge: 0 x\n")
     assert main(["encode-3col", str(bad)]) == 3
     assert "error" in capsys.readouterr().err
+    for edge in ("edge: 1", "edge: 0 1 2"):
+        bad.write_text(f"nodes: 0 1\n{edge}\n")
+        assert main(["encode-3col", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:2: expected two node ids after 'edge:'\n"
 
 
 def test_graph_file_negative_node(tmp_path, capsys):

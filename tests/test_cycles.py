@@ -1,5 +1,5 @@
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -173,7 +173,7 @@ def unindexed_rules(program):
 def test_classify_pi6(pi6):
     index = StructuralIndex(pi6)
     assert len(index.in_cycle_rules) == 4
-    auxiliary = [rule for rules in index.auxiliary.values() for rule in rules]
+    auxiliary = [rule for rule in pi6.rules if index.is_auxiliary(rule)]
     assert [str(r) for r in auxiliary] == ["q :- not a."]
     assert unindexed_rules(pi6) == []
 
@@ -184,7 +184,8 @@ def test_classify_case_i(case_i):
     # the bridge steps are the only rules outside every cycle and handle
     assert unindexed_rules(case_i) == list(bridge.chain)
     index = StructuralIndex(case_i)
-    assert [str(r) for r in index.auxiliary["p"]] == ["p :- not e."]
+    auxiliary = [rule for rule in case_i.rules if index.is_auxiliary(rule)]
+    assert [str(r) for r in auxiliary] == ["p :- not e."]
 
 
 def test_classify_acyclic_positive_rule():
@@ -334,12 +335,15 @@ def test_index_matches_cycles(program):
         for c in cycles
         for rule, step, handle in zip(c.rules, c.atoms[1:] + c.atoms[:1], c.handles)
     }
-    auxiliary = defaultdict(list)
-    for rule in program.rules:
-        own = any(lit.atom == rule.head for lit in rule.body)
-        if rule.head in atoms and rule not in rules and rule.body and not own:
-            auxiliary[rule.head].append(rule)
-    assert index.auxiliary == {head: tuple(found) for head, found in auxiliary.items()}
+    auxiliary = [
+        rule
+        for rule in program.rules
+        if rule.head in atoms
+        and rule not in rules
+        and rule.body
+        and not any(lit.atom == rule.head for lit in rule.body)
+    ]
+    assert [rule for rule in program.rules if index.is_auxiliary(rule)] == auxiliary
 
 
 @given(st.one_of(bridged_programs(), kernel_expansions))

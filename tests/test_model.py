@@ -3,15 +3,14 @@ import random
 import pytest
 
 from aspnf import (
-    DependencyGraph,
     Literal,
     Program,
     ReservedAtomError,
     Rule,
-    build_dependency_graph,
     build_program,
     check_kernel,
     enumerate_answer_sets,
+    export_dot,
     neg,
     parse_program,
     pos,
@@ -83,40 +82,62 @@ def test_rebuild_is_idempotent(pi6):
     assert build_program(pi6.rules) == pi6
 
 
+def dot_edges(program):
+    """The (head, atom, negated) edges of ``program``'s DOT export, in
+    the order written, each with its style read back from the line."""
+    edges = []
+    for line in export_dot(program).splitlines():
+        if " -> " in line:
+            source, rest = line.strip().split(" -> ")
+            target, _, style = rest.rstrip(";").partition(" ")
+            assert style in ("", "[style=dashed]"), line
+            edges.append((source.strip('"'), target.strip('"'), bool(style)))
+    return edges
+
+
 def test_dependency_graph_pi6(pi6):
-    graph = build_dependency_graph(pi6)
-    assert graph.vertices == pi6.atoms
-    assert graph.edges == {
+    # sorted, each once, all negative
+    assert dot_edges(pi6) == [
         ("a", "b", True),
         ("b", "a", True),
-        ("p", "p", True),
         ("p", "b", True),
-        ("q", "q", True),
+        ("p", "p", True),
         ("q", "a", True),
-    }
+        ("q", "q", True),
+    ]
+    # one vertex line per atom
+    vertices = [line for line in export_dot(pi6).splitlines() if line.endswith('";')]
+    assert vertices == [f'  "{atom}";' for atom in sorted(pi6.atoms)]
 
 
 def test_dependency_graph_empty():
-    graph = build_dependency_graph(Program())
-    assert graph == DependencyGraph(frozenset(), frozenset())
+    assert export_dot(Program()) == "digraph G {\n}\n"
 
 
 def test_dependency_graph_single_positive_rule():
     program = build_program([Rule("a", (pos("b"),))])
-    graph = build_dependency_graph(program)
-    assert graph.edges == {("a", "b", False)}
+    assert dot_edges(program) == [("a", "b", False)]
+    assert '  "a" -> "b";\n' in export_dot(program)
 
 
 def test_dependency_graph_rebuild_idempotent(pi6):
-    assert build_dependency_graph(pi6) == build_dependency_graph(pi6)
+    assert export_dot(pi6) == export_dot(build_program(pi6.rules))
+    # each (head, atom, polarity) is one edge, however many rules give it
+    program = parse_program("a :- not b. a :- not b, c. a :- b, c. a :- b.")
+    assert dot_edges(program) == [
+        ("a", "b", False),
+        ("a", "b", True),
+        ("a", "c", False),
+    ]
 
 
 def test_dependency_graph_edge_count_bound():
     rng = random.Random(7)
     for _ in range(30):
         program = random_general_program(rng, 5, 8)
-        graph = build_dependency_graph(program)
-        assert len(graph.edges) <= sum(len(r.body) for r in program.rules)
+        edges = dot_edges(program)
+        assert len(edges) == len(set(edges))
+        assert len(edges) <= sum(len(r.body) for r in program.rules)
 
 
 def test_is_purely_negative(pi6):
@@ -139,4 +160,4 @@ def test_rule_order_does_not_affect_semantics():
             enumerate_answer_sets(permuted)
         )
         assert well_founded(program) == well_founded(permuted)
-        assert build_dependency_graph(program) == build_dependency_graph(permuted)
+        assert export_dot(program) == export_dot(permuted)

@@ -295,6 +295,19 @@ def test_three_kernelize_case_ii(case_ii):
     assert check_3kernel(result).is_3kernel
 
 
+@pytest.mark.parametrize("n_atoms, n_rules, floor", [(4, 6, 14), (8, 12, 2)])
+def test_three_kernelize_share_floor(n_atoms, n_rules, floor):
+    # how often the rewrite reaches 3-kernel form; work that closes the
+    # gap raises these counts, so the floor is a lower bound
+    passes = sum(
+        check_3kernel(
+            three_kernelize(random_kernel_program(n_atoms, n_rules, seed=seed))[0]
+        ).is_3kernel
+        for seed in range(200)
+    )
+    assert passes >= floor
+
+
 def test_three_kernelize_requires_kernel_form():
     with pytest.raises(KernelFormError):
         three_kernelize(parse_program("a."))
