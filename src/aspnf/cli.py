@@ -115,6 +115,13 @@ def _cmd_3kernelize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _node_id(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"expected a node id, got {token!r}") from None
+
+
 def _read_graph(path: str):
     nodes: list[int] = []
     edges: list[tuple[int, int]] = []
@@ -124,12 +131,12 @@ def _read_graph(path: str):
             continue
         try:
             if line.startswith("nodes:"):
-                nodes.extend(int(tok) for tok in line[len("nodes:"):].split())
+                nodes.extend(map(_node_id, line[len("nodes:"):].split()))
             elif line.startswith("edge:"):
                 ends = line[len("edge:"):].split()
                 if len(ends) != 2:
                     raise ValueError("expected two node ids after 'edge:'")
-                edges.append((int(ends[0]), int(ends[1])))
+                edges.append((_node_id(ends[0]), _node_id(ends[1])))
             else:
                 raise AspnfError(f"{path}:{lineno}: unrecognized line {line!r}")
         except ValueError as exc:

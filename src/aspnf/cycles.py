@@ -20,18 +20,19 @@ when its body has ``not b`` and the rest of the body does not mention
 connected component of ``h`` in the graph of steps. So one witness pass
 and one Tarjan pass (iterative) give the in-cycle rules and atoms and
 the AND handles, gathered per program into a :class:`StructuralIndex`,
-which also tells whether a rule is auxiliary
-(:meth:`StructuralIndex.is_auxiliary`); the long-rule rewrite and the
-bridge search read only that index. Whether a bridge target lies in a
-cycle other than the anchor's is a component question too, except for
-a self-loop anchor ``p :- not p, not c`` whose chain leads back to
-``p`` (see :func:`find_bridges`).
+which also tells whether a rule is auxiliary, its body an OR handle
+(:meth:`StructuralIndex.is_auxiliary`). No other code computes a
+handle; the long-rule rewrite and the bridge search read only that
+index. Whether a bridge target lies in a cycle other than the anchor's
+is a component question too, except for a self-loop anchor
+``p :- not p, not c`` whose chain leads back to ``p`` (see
+:func:`find_bridges`).
 
 The index lists nothing. Condition 5 of the 3-kernel check asks one
 path query per handle atom (:meth:`StructuralIndex.on_circuit`, with
 no cap), and :func:`find_cycles`, the one function with a cap, lists
 every circuit with the same pruned search, :func:`_paths`, and builds
-a :class:`Cycle` per combination of witnessing rules.
+an ``(atoms, rules)`` :class:`Cycle` per combination of witnessing rules.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import CycleCapExceededError
-from .model import Literal, Program, Rule, neg
+from .model import Literal, Program, Rule
 
 #: Default cap on the number of enumerated cycles (they may overlap,
 #: and witness combinations multiply).
@@ -56,36 +57,11 @@ AND_BRIDGE = "AND"
 @dataclass(frozen=True)
 class Cycle:
     """A negative cycle: ``rules[i]`` has head ``atoms[i]`` and steps to
-    ``atoms[(i+1) % n]``. Canonicalized to start at the least atom."""
+    ``atoms[(i+1) % n]``. Canonicalized to start at the least atom. Its
+    AND handles are ``StructuralIndex.handles[rules[i], atoms[(i+1) % n]]``."""
 
     atoms: tuple[str, ...]
     rules: tuple[Rule, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def is_even(self) -> bool:
-        return self.size % 2 == 0
-
-    def handle(self, i: int) -> tuple[Literal, ...]:
-        """AND handle at position ``i`` (possibly empty)."""
-        step = neg(self.atoms[(i + 1) % self.size])
-        return tuple(lit for lit in self.rules[i].body if lit != step)
-
-
-@dataclass(frozen=True)
-class OrHandle:
-    """An auxiliary rule ``target :- handle`` of a cycle."""
-
-    cycle: Cycle
-    target: str
-    rule: Rule
-
-    @property
-    def handle(self) -> tuple[Literal, ...]:
-        return self.rule.body
 
 
 @dataclass(frozen=True)
@@ -152,7 +128,7 @@ def find_cycles(
                 message = f"more than {max_cycles} cycles (the cycle cap)"
                 raise CycleCapExceededError(message)
             cycles.append(Cycle(tuple(circuit), combo))
-    cycles.sort(key=lambda c: (c.size, c.atoms))
+    cycles.sort(key=lambda c: (len(c.atoms), c.atoms))
     return tuple(cycles)
 
 
@@ -338,16 +314,13 @@ class StructuralIndex:
         return atom == step or any(paths)
 
 
-def find_or_handles(program: Program, cycle: Cycle) -> tuple[OrHandle, ...]:
+def find_or_handles(program: Program, cycle: Cycle) -> tuple[Rule, ...]:
     """Auxiliary rules of ``cycle``, in program order: rules with a head
     among its atoms that belong to no cycle at all, have a non-empty
-    body, and do not mention their own head."""
+    body, and do not mention their own head. Each body is an OR handle."""
     index = StructuralIndex(program)
-    return tuple(
-        OrHandle(cycle=cycle, target=rule.head, rule=rule)
-        for rule in program.rules
-        if index.is_auxiliary(rule) and rule.head in cycle.atoms
-    )
+    atoms = set(cycle.atoms)
+    return tuple(r for r in program.rules if r.head in atoms and index.is_auxiliary(r))
 
 
 def find_bridges(program: Program) -> tuple[Bridge, ...]:
@@ -393,14 +366,9 @@ def find_bridges(program: Program) -> tuple[Bridge, ...]:
                 return tuple(chain), successor
             current = successor
 
-    candidates = [
-        (OR_BRIDGE, rule, rule.body)
-        for rule in program.rules
-        if index.is_auxiliary(rule)
-    ]
-    candidates += [
-        (AND_BRIDGE, rule, delta) for (rule, _), delta in index.handles.items()
-    ]
+    auxiliary = filter(index.is_auxiliary, program.rules)
+    candidates = [(OR_BRIDGE, r, r.body) for r in auxiliary]
+    candidates += [(AND_BRIDGE, r, delta) for (r, _), delta in index.handles.items()]
     bridges: list[Bridge] = []
     for kind, anchor_rule, handle in candidates:
         if (

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -35,10 +36,16 @@ def test_test_only_structural_api_is_gone():
         "AnswerSetCollection",
         "DependencyGraph",
         "build_dependency_graph",
+        "OrHandle",
     )
     for name in deleted:
         assert name not in aspnf.__all__
         assert not hasattr(aspnf, name), name
+    # handles come from StructuralIndex only; a Cycle is (atoms, rules)
+    assert not hasattr(aspnf.cycles, "OrHandle")
+    for name in ("handle", "size", "is_even"):
+        assert not hasattr(aspnf.Cycle, name), name
+    assert [f.name for f in dataclasses.fields(aspnf.Cycle)] == ["atoms", "rules"]
     assert not hasattr(aspnf.Rule, "body_atoms")
     assert not hasattr(aspnf.Program, "__iter__")
     # is_auxiliary is the one way to ask whether a rule is auxiliary

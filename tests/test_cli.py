@@ -196,6 +196,27 @@ def test_graph_file_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bad}:2: expected two node ids after 'edge:'\n"
+    for lines, lineno in (("nodes: 0 x\n", 1), ("nodes: 0 1\nedge: 0 x\n", 2)):
+        bad.write_text(lines)
+        assert main(["encode-3col", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:{lineno}: expected a node id, got 'x'\n"
+
+
+def test_graph_file_skips_comments_and_rejects_unknown_lines(tmp_path, capsys):
+    path = tmp_path / "triangle.graph"
+    path.write_text("% a triangle\n\nnodes: 0 1 2 % ids\nedge: 0 1\n")
+    assert main(["encode-3col", str(path)]) == 0
+    encoded = capsys.readouterr().out
+    path.write_text("nodes: 0 1 2\n% a comment\n\nedge: 0 1\n")
+    assert main(["encode-3col", str(path)]) == 0
+    assert capsys.readouterr().out == encoded
+    path.write_text("nodes: 0 1\n\nvertex: 2\n")
+    assert main(["encode-3col", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:3: unrecognized line 'vertex: 2'\n"
 
 
 def test_graph_file_negative_node(tmp_path, capsys):
@@ -295,6 +316,36 @@ def test_max_atoms_below_one_is_a_usage_error(command, value, pi6_file, capsys):
         main([*argv, "--max-atoms", value])
     assert excinfo.value.code == 2
     _assert_clean_error(capsys)
+
+
+def test_max_atoms_not_an_integer_is_a_usage_error(pi6_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", pi6_file, "--max-atoms", "abc"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-atoms: expected an integer of at least 1, got 'abc'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_antichain2kernel_skips_comments_and_blank_lines(tmp_path, capsys):
+    path = tmp_path / "chain.ac"
+    path.write_text("% two atoms\n\n#universe a, b. % header\n\na.\n% last\nb.\n")
+    assert main(["antichain2kernel", str(path)]) == 0
+    commented = capsys.readouterr().out
+    path.write_text("#universe a, b.\na.\nb.\n")
+    assert main(["antichain2kernel", str(path)]) == 0
+    assert capsys.readouterr().out == commented
+
+
+@pytest.mark.parametrize("text", ["", "% only a comment\n\n"])
+def test_antichain2kernel_missing_universe_header(tmp_path, capsys, text):
+    path = tmp_path / "empty.ac"
+    path.write_text(text)
+    assert main(["antichain2kernel", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: missing '#universe' header\n"
 
 
 def test_antichain2kernel_component_outside_universe(tmp_path, capsys):

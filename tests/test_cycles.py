@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from aspnf import (
     AND_BRIDGE,
+    Bridge,
     CycleCapExceededError,
     OR_BRIDGE,
     Program,
@@ -42,14 +43,15 @@ def cycle_by_atoms(cycles, atoms):
 def test_find_cycles_pi6(pi6):
     cycles = find_cycles(pi6)
     assert len(cycles) == 3
+    handles = StructuralIndex(pi6).handles
     even = cycle_by_atoms(cycles, ("a", "b"))
-    assert even.is_even and even.size == 2
-    assert even.handle(0) == even.handle(1) == ()
+    assert len(even.atoms) == 2
+    assert handles[even.rules[0], "b"] == handles[even.rules[1], "a"] == ()
     loop_p = cycle_by_atoms(cycles, ("p",))
-    assert not loop_p.is_even
-    assert loop_p.handle(0) == (neg("b"),)
+    assert len(loop_p.atoms) % 2 == 1
+    assert handles[loop_p.rules[0], "p"] == (neg("b"),)
     loop_q = cycle_by_atoms(cycles, ("q",))
-    assert loop_q.handle(0) == ()
+    assert handles[loop_q.rules[0], "q"] == ()
 
 
 def test_find_cycles_ignores_positive_edges():
@@ -58,10 +60,12 @@ def test_find_cycles_ignores_positive_edges():
 
 
 def test_find_cycles_self_loop_with_handle():
-    cycles = find_cycles(parse_program("p :- not p, not e. e :- not f."))
+    program = parse_program("p :- not p, not e. e :- not f.")
+    cycles = find_cycles(program)
     assert len(cycles) == 1
     assert cycles[0].atoms == ("p",)
-    assert cycles[0].handle(0) == (neg("e"),)
+    handles = StructuralIndex(program).handles
+    assert handles[cycles[0].rules[0], "p"] == (neg("e"),)
 
 
 def test_find_cycles_rejects_handle_on_own_head():
@@ -87,8 +91,8 @@ def test_multiple_witnesses_give_multiple_cycles():
     program = parse_program("a :- not b. a :- not b, not x. b :- not a. x :- not x.")
     cycles = [c for c in find_cycles(program) if c.atoms == ("a", "b")]
     assert len(cycles) == 2
-    handles = {c.handle(0) for c in cycles}
-    assert handles == {(), (neg("x"),)}
+    handles = StructuralIndex(program).handles
+    assert {handles[c.rules[0], "b"] for c in cycles} == {(), (neg("x"),)}
 
 
 def test_cycle_cap():
@@ -106,7 +110,7 @@ def test_find_cycles_long_cycle_without_recursion():
         "".join(f"a{i} :- not a{(i + 1) % n}.\n" for i in range(n))
     )
     (cycle,) = find_cycles(program)
-    assert cycle.size == n and cycle.is_even
+    assert len(cycle.atoms) == n and len(cycle.atoms) % 2 == 0
     assert cycle.atoms[:3] == ("a0", "a1", "a2")
 
 
@@ -122,15 +126,16 @@ def test_find_cycles_matches_networkx():
         )
         for candidate in (program, long_rule_simplify(program)[0]):
             # sorted by size, then atoms; each circuit's witness
-            # combinations keep their product order
+            # combinations keep their product order (the oracle's handle
+            # column is checked against the index in test_index_matches_cycles)
             expected = sorted(
                 oracle_cycles(candidate), key=lambda c: (len(c.atoms), c.atoms)
             )
             total = len(expected)
             cycles = find_cycles(candidate, max_cycles=total)
-            assert [
-                (c.atoms, c.rules, tuple(map(c.handle, range(c.size)))) for c in cycles
-            ] == expected
+            assert [(c.atoms, c.rules) for c in cycles] == [
+                (c.atoms, c.rules) for c in expected
+            ]
             if total:
                 with pytest.raises(CycleCapExceededError):
                     find_cycles(candidate, max_cycles=total - 1)
@@ -141,8 +146,8 @@ def test_find_or_handles_pi6(pi6):
     loop_q = cycle_by_atoms(cycles, ("q",))
     handles = find_or_handles(pi6, loop_q)
     assert len(handles) == 1
-    assert handles[0].target == "q"
-    assert handles[0].handle == (neg("a"),)
+    assert handles[0].head == "q"
+    assert handles[0].body == (neg("a"),)
     even = cycle_by_atoms(cycles, ("a", "b"))
     assert find_or_handles(pi6, even) == ()
 
@@ -151,7 +156,7 @@ def test_find_or_handles_pi5(pi5):
     cycles = find_cycles(pi5)
     loop_p = cycle_by_atoms(cycles, ("p",))
     handles = find_or_handles(pi5, loop_p)
-    assert [h.handle for h in handles] == [(neg("a"), neg("c"))]
+    assert [(h.head, h.body) for h in handles] == [("p", (neg("a"), neg("c")))]
 
 
 def test_in_cycle_rule_is_not_auxiliary():
@@ -226,6 +231,16 @@ def test_bridges_case_iv(case_iv):
     assert bridge.length == 3 and not bridge.is_even
 
 
+def test_bridge_rejects_unknown_kind_and_empty_chain(case_i):
+    (bridge,) = find_bridges(case_i)
+    fields = (bridge.anchor_atom, bridge.anchor_rule, bridge.chain, bridge.target_atom)
+    assert Bridge(OR_BRIDGE, *fields) == bridge
+    with pytest.raises(ValueError, match="unknown bridge kind 'XOR'"):
+        Bridge("XOR", *fields)
+    with pytest.raises(ValueError, match="bridge chain may not be empty"):
+        Bridge(OR_BRIDGE, bridge.anchor_atom, bridge.anchor_rule, (), "a")
+
+
 def test_no_bridges_in_pi6(pi6):
     assert find_bridges(pi6) == ()
 
@@ -254,10 +269,10 @@ def test_bridge_requires_target_in_other_cycle():
 
 def test_analysis_report_fields(pi6):
     cycles = find_cycles(pi6)
-    parities = {c.atoms: c.is_even for c in cycles}
+    parities = {c.atoms: len(c.atoms) % 2 == 0 for c in cycles}
     assert parities[("a", "b")] is True
     assert parities[("p",)] is False
-    lengths = {c.atoms: c.size for c in cycles}
+    lengths = {c.atoms: len(c.atoms) for c in cycles}
     assert lengths[("a", "b")] == 2
     assert lengths[("p",)] == 1
 
