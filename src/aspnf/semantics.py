@@ -9,9 +9,9 @@ Gelder, 1993).
 There is one gamma, ``_BitProgram.gamma``, over the program compiled to
 bitmasks, and one alternating-fixpoint loop, ``_tighten``, which
 narrows an interval ``[lower, upper]`` of the subset lattice. The
-well-founded model is that loop run from the root interval ``[{}, all
-atoms]``: the limit lower bound is true, atoms outside the limit upper
-bound are false, the rest are undefined.
+well-founded model is a linear closure over the rules, which that loop
+narrows further only when some rule has a positive body literal
+(``well_founded``).
 
 Interpretations are plain ``frozenset`` values of atom names.
 
@@ -53,13 +53,14 @@ inferences a rescan of every atom would draw, and the search visits
 the same nodes.
 
 Rules with an atom both positive and negative in their body are never
-true and take no part. Only the gamma fixpoint is used for the
-well-founded model: the completion is stronger (on ``q :- not q.
-q :- not a.`` it makes ``q`` true, which the well-founded model leaves
-undefined). At a leaf the search keeps ``lower`` iff ``gamma(lower) ==
-lower``, so the result is exact whatever the propagation prunes; the
-test suite cross-checks it, and the well-founded model, against
-independent implementations.
+true and take no part. The completion is not used for the well-founded
+model: it is stronger (on ``q :- not q. q :- not a.`` it makes ``q``
+true, which the well-founded model leaves undefined). The closure of
+``well_founded`` draws only the first sentence of inference 1, and
+inference 3 for bodies that hold outright. At a leaf the search keeps
+``lower`` iff ``gamma(lower) == lower``, so the result is exact
+whatever the propagation prunes; the test suite cross-checks it, and
+the well-founded model, against independent implementations.
 
 In a program without positive body literals the completion subsumes
 the gamma fixpoint, so the search skips it there. For such a program
@@ -88,12 +89,15 @@ inconsistent, and the rest are not searched.
 After each enumeration the ``aspnf`` logger gets one debug record whose
 arguments are a dict of atoms, rules, components, search nodes,
 conflicts (nodes that hold no answer set) and answers, summed over the
-components.
+components. After each well-founded model it gets one whose dict holds
+atoms, rules, the atoms the closure decided and the ``_tighten``
+rounds run.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -133,18 +137,118 @@ class WfsResult:
 
 
 def well_founded(program: Program) -> WfsResult:
-    """Well-founded model: the alternating fixpoint of gamma from the
-    root interval, i.e. the search's root tightening.
+    """Well-founded model (Van Gelder, Ross and Schlipf, 1991).
 
     Every answer set contains all true atoms and avoids all false ones.
+
+    A linear closure (``_closure``) first draws two inferences until
+    neither applies: an atom with no live rule is false, and a rule
+    whose literals all hold makes its head true. A rule dies when one of
+    its literals turns false. This is the reduction of Brass, Dix,
+    Freitag and Zukowski (2001, "Transformation-based bottom-up
+    computation of the well-founded model"): delete rules with a false
+    body literal, drop true literals. Its result is Fitting's (1985)
+    model.
+
+    When no rule has a positive body literal, the closure is the
+    well-founded model. A set U of atoms is unfounded when every rule
+    with its head in U has a false literal or a positive body atom in
+    U. Without positive body literals only the first case is left, so
+    the greatest unfounded set is the set of atoms whose rules each have
+    a false literal, which the first inference makes false. The second
+    inference is the immediate consequence step of the well-founded
+    operator. Both drawn to a fixpoint give its least fixpoint, so
+    nothing is compiled and ``_tighten`` does not run.
+
+    Otherwise the closure's bounds seed ``_tighten``, and the result is
+    still exact. Both inferences are sound for the well-founded model,
+    so the closure's interval lies between the root interval and the
+    well-founded one in the knowledge order (lower bounds grow, upper
+    bounds shrink). Both steps of ``_tighten``, ``lower | gamma(upper)``
+    and ``upper & gamma(lower)``, are monotone in that order, and the
+    well-founded interval is their fixpoint. So each pass from the
+    closure's bounds is at least as narrow as the same pass from the
+    root interval, and never narrower than the well-founded interval.
+    The passes from the root reach that interval, so these do too.
+
+    One debug record on the ``aspnf`` logger gives the atoms, rules,
+    atoms the closure decided and ``_tighten`` rounds run (0 without
+    positive body literals).
     """
-    bp = _BitProgram(program.rules, program.atoms)
-    bounds = _tighten(bp, 0, bp.full)
-    assert bounds is not None, "the well-founded model is consistent"
-    lower, upper = bounds
+    true_atoms, false_atoms, positive = _closure(program)
+    decided = len(true_atoms) + len(false_atoms)
+    rounds = [0]
+    if positive:
+        bp = _BitProgram(program.rules, program.atoms)
+        bounds = _tighten(
+            bp, bp.to_mask(true_atoms), bp.full & ~bp.to_mask(false_atoms), rounds
+        )
+        assert bounds is not None, "the well-founded model is consistent"
+        lower, upper = bounds
+        true_atoms, false_atoms = bp.to_set(lower), bp.to_set(bp.full & ~upper)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "well_founded: %(atoms)d atoms, %(rules)d rules, "
+            "%(decided)d decided by the closure, %(rounds)d tighten rounds",
+            {
+                "atoms": len(program.atoms),
+                "rules": len(program.rules),
+                "decided": decided,
+                "rounds": rounds[0],
+            },
+        )
     return WfsResult(
-        bp.to_set(lower), bp.to_set(bp.full & ~upper), bp.to_set(upper & ~lower)
+        frozenset(true_atoms),
+        frozenset(false_atoms),
+        program.atoms - true_atoms - false_atoms,
     )
+
+
+def _closure(program: Program) -> tuple[set[str], set[str], bool]:
+    """The true and false atoms of the closure of ``well_founded``, and
+    whether some rule has a positive body literal.
+
+    Each rule counts its literals that do not hold yet, and each atom its
+    live rules. Each atom is decided and queued at most once, and when
+    it is taken from the queue each of its body occurrences is visited
+    once: the literal either holds, and its rule's count drops, or is
+    false, and its rule dies. A rule whose count reaches 0 has no false
+    literal, so it never dies, and its head never loses its last live
+    rule."""
+    rules = program.rules
+    heads = [rule.head for rule in rules]
+    pending = [len(rule.body) for rule in rules]
+    live = Counter(heads)
+    positive: dict[str, list[int]] = {}
+    negative: dict[str, list[int]] = {}
+    for r, rule in enumerate(rules):
+        for atom, negated in rule.body:
+            (negative if negated else positive).setdefault(atom, []).append(r)
+    value = dict.fromkeys(program.atoms - live.keys(), False)
+    value.update((head, True) for head, count in zip(heads, pending) if not count)
+    queue = list(value)
+    dead = bytearray(len(rules))
+    # The queue grows while it is read; each atom is appended once.
+    for atom in queue:
+        if value[atom]:
+            holding, failing = positive.get(atom, ()), negative.get(atom, ())
+        else:
+            holding, failing = negative.get(atom, ()), positive.get(atom, ())
+        for r in failing:
+            if not dead[r]:
+                dead[r] = 1
+                head = heads[r]
+                live[head] -= 1
+                if not live[head] and head not in value:
+                    value[head] = False
+                    queue.append(head)
+        for r in holding:
+            pending[r] -= 1
+            if not pending[r] and heads[r] not in value:
+                value[heads[r]] = True
+                queue.append(heads[r])
+    true_atoms = {atom for atom, holds in value.items() if holds}
+    return true_atoms, value.keys() - true_atoms, bool(positive)
 
 
 class _BitProgram:
@@ -207,15 +311,20 @@ class _BitProgram:
         return frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
 
 
-def _tighten(bp: _BitProgram, lower: int, upper: int) -> tuple[int, int] | None:
+def _tighten(
+    bp: _BitProgram, lower: int, upper: int, rounds: list[int] | None = None
+) -> tuple[int, int] | None:
     """Narrow ``[lower, upper]`` by the alternating fixpoint of gamma;
-    None when the interval holds no answer set.
+    None when the interval holds no answer set. ``rounds``, when given,
+    is a one-item list that each pass increments.
 
     Sound by antimonotonicity: any answer set S in the interval
     satisfies gamma(upper) <= S (since S <= upper) and S <= gamma(lower)
     (since lower <= S).
     """
     while True:
+        if rounds is not None:
+            rounds[0] += 1
         tightened_lower = lower | bp.gamma(upper)
         if tightened_lower & ~upper:
             return None

@@ -279,16 +279,36 @@ def rename_atoms(program: Program, mapping: dict[str, str]) -> Program:
     )
 
 
+def negative_chain(n: int, fact: bool = True) -> Program:
+    """``x0 :- not x1. x1 :- not x2. ...`` over ``n`` atoms, ending in
+    the fact ``x{n-1}.``, or with ``x{n-1}`` given no rule."""
+    rules = [Rule(f"x{i}", (neg(f"x{i + 1}"),)) for i in range(n - 1)]
+    if fact and n:
+        rules.append(Rule(f"x{n - 1}"))
+    return Program(tuple(rules))
+
+
+def chain_model(n: int, fact: bool = True) -> WfsResult:
+    """The well-founded model of ``negative_chain(n, fact)``: the last
+    atom is true iff it is a fact, and each other atom is the opposite
+    of the next one."""
+    true = {f"x{i}" for i in range(n) if (n - 1 - i) % 2 == (0 if fact else 1)}
+    universe = negative_chain(n, fact).atoms
+    return WfsResult(frozenset(true), universe - true, frozenset())
+
+
 @st.composite
-def programs(draw, max_atoms=8):
+def programs(draw, max_atoms=8, negative_only=False):
     """Up to ``max_atoms`` atoms: facts, positive and negative bodies,
     rules holding ``not head`` in their body, even loops ``a :- not b,
     ...`` and ``b :- not a`` that leave atoms for the search to branch
     on, and copies of rules with the body reversed (the same rule to the
-    search, a distinct rule to ``Program``)."""
+    search, a distinct rule to ``Program``). With ``negative_only``
+    every body literal is negated."""
     names = [f"x{i}" for i in range(draw(st.integers(1, max_atoms)))]
     atom = st.sampled_from(names)
-    body = st.lists(st.builds(Literal, atom, st.booleans()), max_size=3)
+    negated = st.just(True) if negative_only else st.booleans()
+    body = st.lists(st.builds(Literal, atom, negated), max_size=3)
     rule = st.builds(lambda head, lits: [Rule(head, tuple(lits))], atom, body)
     self_negating = st.builds(
         lambda head, lits: [Rule(head, (neg(head), *lits))], atom, body

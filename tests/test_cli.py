@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from aspnf import random_kernel_program, render_program, three_kernelize
 from aspnf.cli import main
-from conftest import CASE_II_TEXT, PI5_TEXT, PI6_TEXT
+from conftest import CASE_II_TEXT, PI5_TEXT, PI6_TEXT, negative_chain
 
 
 @pytest.fixture
@@ -77,6 +77,19 @@ def test_wfs_output(pi6_file, capsys):
     assert capsys.readouterr().out == (
         "true: \nfalse: \nundefined: a, b, p, q\n"
     )
+
+
+def test_wfs_of_a_long_chain(tmp_path, capsys):
+    # x0 :- not x1. ... x19998 :- not x19999. x19999.
+    path = tmp_path / "chain.lp"
+    path.write_text(render_program(negative_chain(20_000)))
+    assert main(["wfs", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "RecursionError" not in captured.err
+    true, false, undefined = captured.out.splitlines()
+    assert true.count(",") == false.count(",") == 9_999
+    assert "x19999" in true.split(", ") and "x19998" in false.split(", ")
+    assert undefined == "undefined: "
 
 
 def test_kernel_check(pi6_file, tmp_path, capsys):

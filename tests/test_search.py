@@ -1,16 +1,34 @@
-"""The answer-set search: exact against the independent oracles on
-generated programs, its incremental propagation, and its debug record
-of search counters."""
+"""The answer-set search and the well-founded model: exact against the
+independent oracles on generated programs, the search's incremental
+propagation, the well-founded closure that compiles nothing without
+positive body literals, and the debug records of both."""
 
 import logging
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aspnf import Program, Rule, enumerate_answer_sets, neg, well_founded
+from aspnf import (
+    Program,
+    Rule,
+    WfsResult,
+    enumerate_answer_sets,
+    neg,
+    parse_program,
+    pos,
+    well_founded,
+)
+from aspnf import semantics
 from aspnf.generate import encode_3col, graph
 from aspnf.semantics import _BitProgram, _completion_index, _propagate
-from conftest import oracle_answer_sets, oracle_well_founded, programs, rename_atoms
+from conftest import (
+    chain_model,
+    negative_chain,
+    oracle_answer_sets,
+    oracle_well_founded,
+    programs,
+    rename_atoms,
+)
 
 
 @given(programs())
@@ -21,6 +39,83 @@ def test_enumeration_matches_oracle(program):
 @given(programs())
 def test_well_founded_matches_oracle(program):
     assert well_founded(program) == oracle_well_founded(program)
+
+
+@given(
+    st.one_of(
+        programs(negative_only=True),
+        st.builds(negative_chain, st.integers(0, 12), st.booleans()),
+    )
+)
+def test_well_founded_of_negative_programs_matches_oracle(program):
+    assert well_founded(program) == oracle_well_founded(program)
+
+
+def test_chain_model_is_the_well_founded_model():
+    # The expected partition of the long-chain tests, on short chains.
+    for n in range(6):
+        for fact in (True, False):
+            assert chain_model(n, fact) == oracle_well_founded(negative_chain(n, fact))
+
+
+def test_well_founded_without_positive_bodies_compiles_nothing(monkeypatch, pi6):
+    # The closure alone gives the model, so neither the alternating
+    # fixpoint nor gamma runs; a 20,000-atom chain finishes because the
+    # closure is linear.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the alternating fixpoint ran")
+
+    monkeypatch.setattr(semantics, "_tighten", refuse)
+    monkeypatch.setattr(semantics._BitProgram, "gamma", refuse)
+    assert well_founded(negative_chain(20_000)) == chain_model(20_000)
+    c5 = encode_3col(graph(range(5), _cycle(list(range(5)))))
+    for program in (pi6, c5):
+        assert well_founded(program) == oracle_well_founded(program)
+
+
+def test_well_founded_of_positive_loops():
+    # The closure decides nothing here; the alternating fixpoint finds
+    # the unfounded loops.
+    assert well_founded(parse_program("a :- a.")) == WfsResult(
+        frozenset(), frozenset({"a"}), frozenset()
+    )
+    assert well_founded(parse_program("a :- b. b :- a. c :- not a.")) == WfsResult(
+        frozenset({"c"}), frozenset({"a", "b"}), frozenset()
+    )
+
+
+def test_well_founded_of_a_chain_with_one_positive_link():
+    # x0 :- not x1. x1 :- not x2. x2 :- x3. x3 :- not x4. x4 :- not x5. x5.
+    rules = list(negative_chain(6).rules)
+    rules[2] = Rule("x2", (pos("x3"),))
+    program = Program(tuple(rules))
+    expected = WfsResult(
+        frozenset({"x5", "x3", "x2", "x0"}), frozenset({"x4", "x1"}), frozenset()
+    )
+    assert well_founded(program) == expected == oracle_well_founded(program)
+
+
+def _wfs_stats(caplog, program):
+    """The well-founded debug record's dict for ``program``."""
+    caplog.set_level(logging.DEBUG, logger="aspnf")
+    caplog.clear()
+    well_founded(program)
+    [record] = [r for r in caplog.records if r.name == "aspnf"]
+    return record.args
+
+
+def test_well_founded_record(caplog, pi6):
+    assert _wfs_stats(caplog, negative_chain(1000)) == {
+        "atoms": 1000, "rules": 1000, "decided": 1000, "rounds": 0
+    }
+    assert _wfs_stats(caplog, pi6) == {
+        "atoms": 4, "rules": 5, "decided": 0, "rounds": 0
+    }
+    # One pass makes ``a`` false, one makes ``b`` true, one finds the
+    # fixpoint.
+    assert _wfs_stats(caplog, parse_program("a :- a. b :- not a.")) == {
+        "atoms": 2, "rules": 2, "decided": 0, "rounds": 3
+    }
 
 
 def _normal(propagated):
