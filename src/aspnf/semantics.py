@@ -10,8 +10,8 @@ There is one gamma, ``_BitProgram.gamma``, over the program compiled to
 bitmasks, and one alternating-fixpoint loop, ``_tighten``, which
 narrows an interval ``[lower, upper]`` of the subset lattice. The
 well-founded model is a linear closure over the rules, which that loop
-narrows further only when some rule has a positive body literal
-(``well_founded``).
+narrows further only when the closure leaves an atom undefined and some
+rule has a positive body literal (``well_founded``).
 
 Interpretations are plain ``frozenset`` values of atom names.
 
@@ -38,53 +38,46 @@ S iff some rule with head that atom has a body true in S:
    ``p :- not p, q`` makes ``p`` true, and ``p`` then needs another
    rule to support it: the rule acts as a constraint.
 
-The completion is incremental. A search node inherits a summary of
-its parent's fixpoint: the atoms still undecided there, the true atoms
-whose support is not settled, and the bitsets of blocked rules and of
-rules with a false head. Decided atoms stay decided in every
-sub-interval, so each pass scans only the inherited undecided atoms
-and ORs the newly decided ones into the two bitsets. Once a true atom
-has exactly one unblocked rule, inference 1 in the same pass decides
-every literal of that rule's body its way, or finds a conflict. From
-then on the body holds in every sub-interval, so the rule stays
-unblocked and the atom can give no further inference and no conflict;
-it leaves the summary. Each pass therefore draws exactly the
-inferences a rescan of every atom would draw, and the search visits
-the same nodes.
+The completion is drawn by counters, as in clasp (Gebser, Kaufmann,
+Neumann and Schaub, 2007). A node keeps each atom's value and number of
+unblocked rules, and each rule's number of literals that do not hold
+yet; a child starts from a copy of its parent's. Deciding an atom
+visits only the rules it occurs in: where its literal fails the rule is
+blocked and its head's count drops, where it holds the rule's count
+drops. Each inference fires when a count reaches 0 or 1 while an atom
+has some value, and is checked both when the count drops and when the
+atom is decided, so none is missed. An inference drawn from an
+interval is drawn from every narrower one, so every order reaches the
+same fixpoint, or a conflict: each node gets the interval a rescan of
+every atom would give, and the search visits the same nodes in order.
 
 Rules with an atom both positive and negative in their body are never
-true and take no part. The completion is not used for the well-founded
-model: it is stronger (on ``q :- not q. q :- not a.`` it makes ``q``
-true, which the well-founded model leaves undefined). The closure of
-``well_founded`` draws only the first sentence of inference 1, and
-inference 3 for bodies that hold outright. At a leaf the search keeps
-``lower`` iff ``gamma(lower) == lower``, so the result is exact
-whatever the propagation prunes; the test suite cross-checks it, and
-the well-founded model, against independent implementations.
+true and take no part. The completion is too strong for the
+well-founded model (on ``q :- not q. q :- not a.`` it makes ``q`` true,
+which that model leaves undefined); the closure of ``well_founded``
+draws only the first sentence of inference 1, and inference 3 for
+bodies that hold outright. At a leaf the search keeps ``lower`` iff
+``gamma(lower) == lower``, so the result is exact whatever the
+propagation prunes; the tests cross-check it, and the well-founded
+model, against independent implementations.
 
-In a program without positive body literals the completion subsumes
-the gamma fixpoint, so the search skips it there. For such a program
-``gamma(s)`` is the set of heads of rules with no negative body atom in
-``s``. ``gamma(upper)`` is then the heads of bodies that hold, which
-inference 3 has already made true, and ``upper & gamma(lower)`` drops
-exactly the atoms with no unblocked rule, which inference 1 has already
-made false. Once the completion stops moving, the gamma fixpoint cannot
-narrow the interval; the leaf check stays.
+Without positive body literals the completion subsumes the gamma
+fixpoint, so the search skips it. ``gamma(s)`` is then the heads of
+rules with no negative body atom in ``s``: ``gamma(upper)`` is the
+heads of bodies that hold, which inference 3 has made true, and ``upper
+& gamma(lower)`` drops exactly the atoms with no unblocked rule, which
+inference 1 has made false.
 
 Before searching, ``enumerate_answer_sets`` splits the program into the
 connected components of its atom-rule incidence graph, where an atom
 and a rule are linked when the atom is the rule's head or occurs in its
-body. This is the simplest case of the splitting-set theorem (Lifschitz
-and Turner, 1994, "Splitting a logic program"). Components share no
-atom, and each rule's reduct depends only on atoms of its own
-component, so ``gamma`` of a union is the union of each component's
-``gamma`` of its part. A set is therefore an answer set iff its
-restriction to every component is an answer set of that component, and
-the answer sets of the program are the unions of one answer set from
-each component: the product of the components' answer sets. Each
-component is compiled and searched on its own, in the order of its
-first rule; the first one with no answer set makes the whole program
-inconsistent, and the rest are not searched.
+body: the simplest case of the splitting-set theorem (Lifschitz and
+Turner, 1994). Components share no atom and each rule's reduct depends
+only on its own component's atoms, so ``gamma`` of a union is the union
+of each component's ``gamma``, and the answer sets of the program are
+the unions of one answer set from each component. Each component is
+compiled and searched on its own, in the order of its first rule; the
+first one with no answer set ends the search.
 
 After each enumeration the ``aspnf`` logger gets one debug record whose
 arguments are a dict of atoms, rules, components, search nodes,
@@ -99,13 +92,15 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable
 
 from .errors import UniverseTooLargeError
 from .model import Program, Rule, is_reserved
 
 #: Default cap on the enumeration universe (overridable per call).
 DEFAULT_MAX_ATOMS = 24
+_TRUE, _FALSE = 1, 2  # atom values in the search; 0 is undecided
 
 _log = logging.getLogger("aspnf")
 
@@ -145,10 +140,8 @@ def well_founded(program: Program) -> WfsResult:
     neither applies: an atom with no live rule is false, and a rule
     whose literals all hold makes its head true. A rule dies when one of
     its literals turns false. This is the reduction of Brass, Dix,
-    Freitag and Zukowski (2001, "Transformation-based bottom-up
-    computation of the well-founded model"): delete rules with a false
-    body literal, drop true literals. Its result is Fitting's (1985)
-    model.
+    Freitag and Zukowski (2001): delete rules with a false body literal,
+    drop true literals. Its result is Fitting's (1985) model.
 
     When no rule has a positive body literal, the closure is the
     well-founded model. A set U of atoms is unfounded when every rule
@@ -157,28 +150,26 @@ def well_founded(program: Program) -> WfsResult:
     the greatest unfounded set is the set of atoms whose rules each have
     a false literal, which the first inference makes false. The second
     inference is the immediate consequence step of the well-founded
-    operator. Both drawn to a fixpoint give its least fixpoint, so
-    nothing is compiled and ``_tighten`` does not run.
+    operator. Both drawn to a fixpoint give its least fixpoint.
 
-    Otherwise the closure's bounds seed ``_tighten``, and the result is
-    still exact. Both inferences are sound for the well-founded model,
+    Otherwise, unless the closure decided every atom, its bounds seed
+    ``_tighten``. Both inferences are sound for the well-founded model,
     so the closure's interval lies between the root interval and the
     well-founded one in the knowledge order (lower bounds grow, upper
-    bounds shrink). Both steps of ``_tighten``, ``lower | gamma(upper)``
-    and ``upper & gamma(lower)``, are monotone in that order, and the
-    well-founded interval is their fixpoint. So each pass from the
-    closure's bounds is at least as narrow as the same pass from the
-    root interval, and never narrower than the well-founded interval.
-    The passes from the root reach that interval, so these do too.
+    bounds shrink). Both steps of ``_tighten`` are monotone in that
+    order and fix the well-founded interval, so each pass from the
+    closure's bounds lies between the same pass from the root and that
+    interval, which the passes from the root reach.
+    No interval lies strictly above a total one, so when the closure
+    decides every atom it is the model, and nothing is compiled.
 
     One debug record on the ``aspnf`` logger gives the atoms, rules,
-    atoms the closure decided and ``_tighten`` rounds run (0 without
-    positive body literals).
+    atoms the closure decided and ``_tighten`` rounds run.
     """
     true_atoms, false_atoms, positive = _closure(program)
     decided = len(true_atoms) + len(false_atoms)
     rounds = [0]
-    if positive:
+    if positive and decided < len(program.atoms):
         bp = _BitProgram(program.rules, program.atoms)
         bounds = _tighten(
             bp, bp.to_mask(true_atoms), bp.full & ~bp.to_mask(false_atoms), rounds
@@ -197,11 +188,8 @@ def well_founded(program: Program) -> WfsResult:
                 "rounds": rounds[0],
             },
         )
-    return WfsResult(
-        frozenset(true_atoms),
-        frozenset(false_atoms),
-        program.atoms - true_atoms - false_atoms,
-    )
+    undefined = program.atoms - true_atoms - false_atoms
+    return WfsResult(frozenset(true_atoms), frozenset(false_atoms), undefined)
 
 
 def _closure(program: Program) -> tuple[set[str], set[str], bool]:
@@ -266,20 +254,24 @@ class _BitProgram:
         self.atoms = tuple(sorted(atoms, key=lambda a: (is_reserved(a), a)))
         self.index = index = {atom: i for i, atom in enumerate(self.atoms)}
         self.full = (1 << len(self.atoms)) - 1
-        compiled = []
+        # Each rule as ``(head, pos, neg)`` masks, and by atom position as
+        # its head and its body literals' ``(atom, value that holds it)``.
+        self.rules, self.bodies = [], []
         for rule in rules:
-            head = 1 << index[rule.head]
-            pos_mask = 0
-            neg_mask = 0
-            for lit in rule.body:
-                bit = 1 << index[lit.atom]
-                if lit.negated:
-                    neg_mask |= bit
+            pos_mask = neg_mask = 0
+            body = []
+            for atom, negated in rule.body:
+                i = index[atom]
+                if negated:
+                    neg_mask |= 1 << i
+                    body.append((i, _FALSE))
                 else:
-                    pos_mask |= bit
-            compiled.append((head, pos_mask, neg_mask))
-        self.rules = tuple(compiled)
-        self.negative_only = all(p == 0 for _, p, _ in compiled)
+                    pos_mask |= 1 << i
+                    body.append((i, _TRUE))
+            head = index[rule.head]
+            self.rules.append((1 << head, pos_mask, neg_mask))
+            self.bodies.append((head, body))
+        self.negative_only = all(p == 0 for _, p, _ in self.rules)
 
     def gamma(self, s: int) -> int:
         if self.negative_only:
@@ -308,7 +300,8 @@ class _BitProgram:
         return mask
 
     def to_set(self, mask: int) -> frozenset[str]:
-        return frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+        digits = bin(mask)[:1:-1].encode()  # lowest bit first
+        return frozenset(compress(self.atoms, digits.translate(_SELECT)))
 
 
 def _tighten(
@@ -336,165 +329,172 @@ def _tighten(
         lower, upper = tightened_lower, tightened_upper
 
 
-def _completion_index(bp: _BitProgram) -> tuple[tuple, tuple]:
-    """What ``_complete`` reads, and the summary of the root interval.
-
-    The index holds the rules that can fire at all, as ``(head, pos,
-    neg)`` masks, and the bitset of those rules holding ``not head``. A
-    rule with an atom in both parts of its body never has a true body,
-    so it supports nothing and constrains nothing.
-
-    A summary of an interval is ``(entries, supports, blocked,
-    false_heads)``: the entries of its undecided atoms, each its bit
-    and, as bitsets over the rules, the rules it heads, occurs in
-    positively, negatively and at all; the ``heads`` bitsets of the true
-    atoms whose support is not settled; the blocked rules; the rules
-    whose head is false. At the root every atom is undecided."""
-    bodies = tuple(rule for rule in bp.rules if not rule[1] & rule[2])
-    heads = [0] * len(bp.atoms)
-    positive = [0] * len(bp.atoms)
-    negative = [0] * len(bp.atoms)
-    self_negating = 0
-    for r, (head, pos_mask, neg_mask) in enumerate(bodies):
-        rule = 1 << r
-        heads[head.bit_length() - 1] |= rule
-        for i in _bits(pos_mask):
-            positive[i] |= rule
-        for i in _bits(neg_mask):
-            negative[i] |= rule
-        if neg_mask & head:
-            self_negating |= rule
-    entries = tuple(
-        (1 << i, heads[i], positive[i], negative[i], positive[i] | negative[i])
-        for i in range(len(bp.atoms))
-    )
-    return (bodies, self_negating), (entries, (), 0, 0)
+_LOWER = bytes.maketrans(b"\0\1\2", b"010")
+_UPPER = bytes.maketrans(b"\0\1\2", b"110")
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _bounds(value: bytearray) -> tuple[int, int]:
+    """``lower`` and ``upper`` of the interval that atom values give."""
+    digits = b"0" + value[::-1]
+    return int(digits.translate(_LOWER), 2), int(digits.translate(_UPPER), 2)
 
 
-def _complete(
-    index: tuple, summary: tuple, lower: int, upper: int
-) -> tuple[tuple, int, int] | None:
-    """Narrow ``[lower, upper]`` by the completion inferences of the
-    module docstring until they no longer move it; None on a conflict,
-    else the summary of the narrowed interval and its bounds.
+class _Propagator:
+    """The completion of the module docstring, drawn by counters over
+    the rules of ``bp`` that can fire. A state ``(value, live, unmet)``
+    holds each atom's value (0 while undecided) and number of unblocked
+    rules, and each rule's number of literals that do not hold yet (-1
+    once blocked). ``initial`` is what the rules decide alone: atoms
+    without rules are false; rules with no literal, or only ``not
+    head``, fire inference 3."""
 
-    ``summary`` describes an interval that contains ``[lower, upper]``
-    (``_completion_index``). Each pass scans only the entries that were
-    undecided in the previous one and draws every inference from the
-    same interval."""
-    bodies, self_negating = index
-    entries, supports, blocked, false_heads = summary
-    while True:
-        # Bitsets over rules: bodies with at least one and with at least
-        # two undecided literals, rules whose head is undecided.
-        open_once = open_twice = open_heads = 0
-        open_entries = []
-        true_heads = list(supports)
-        for entry in entries:
-            bit, heads, pos_rules, neg_rules, lit_rules = entry
-            if bit & lower:
-                blocked |= neg_rules
-                true_heads.append(heads)
-            elif bit & upper:
-                open_twice |= open_once & lit_rules
-                open_once |= lit_rules
-                open_heads |= heads
-                open_entries.append(entry)
-            else:
-                blocked |= pos_rules
-                false_heads |= heads
-        live = ~blocked
-        new_lower, new_upper = lower, upper
-        # 1. Support. A true atom with one live rule is settled once this
-        # pass makes that rule's body true (module docstring).
-        unsettled = []
-        for heads in true_heads:
-            support = heads & live
-            if not support:
-                return None
-            if support & (support - 1):
-                unsettled.append(heads)
-            else:
-                _head, pos_mask, neg_mask = bodies[support.bit_length() - 1]
-                new_lower |= pos_mask
-                new_upper &= ~neg_mask
-        for entry in open_entries:
-            if not entry[1] & live:
-                new_upper &= ~entry[0]
-        # 2. False head.
-        refuted = false_heads & live
-        if refuted & ~open_once:
-            return None
-        for r in _bits(refuted & ~open_twice):
-            _head, pos_mask, neg_mask = bodies[r]
-            new_upper &= ~(pos_mask & ~lower)
-            new_lower |= neg_mask & upper
-        # 3. True body; with one undecided literal, it is ``not head``.
-        for r in _bits(open_heads & live & (~open_once | self_negating & ~open_twice)):
-            new_lower |= bodies[r][0]
-        if new_lower & ~new_upper:
-            return None
-        entries, supports = open_entries, unsettled
-        if new_lower == lower and new_upper == upper:
-            return (entries, supports, blocked, false_heads), lower, upper
-        lower, upper = new_lower, new_upper
+    def __init__(self, bp: _BitProgram):
+        self.bp = bp
+        atoms = range(len(bp.atoms))
+        self.heads, self.bodies, self.self_negating, self.initial = [], [], [], []
+        self.rules_of = [[] for _ in atoms]
+        # Per value and atom: the rules where the atom's literal holds
+        # under that value, and where it fails.
+        self.watch = None, [([], []) for _ in atoms], [([], []) for _ in atoms]
+        for (head, pos_mask, neg_mask), (h, body) in zip(bp.rules, bp.bodies):
+            if pos_mask & neg_mask:
+                continue
+            r = len(self.heads)
+            for a, way in body:
+                self.watch[way][a][0].append(r)
+                self.watch[_TRUE + _FALSE - way][a][1].append(r)
+            self.rules_of[h].append(r)
+            self.heads.append(h)
+            self.bodies.append(body)
+            self.self_negating.append(bool(head & neg_mask))
+            if len(body) <= self.self_negating[r]:
+                self.initial.append((h, _TRUE))
+        self.initial += [(a, _FALSE) for a in atoms if not self.rules_of[a]]
+
+    def root(self) -> tuple:
+        """The state of the full interval, before ``initial``."""
+        live = [len(rules) for rules in self.rules_of]
+        return bytearray(len(live)), live, [len(body) for body in self.bodies]
+
+    def propagate(self, state: tuple, decided: Iterable[tuple[int, int]]) -> bool:
+        """Decide each ``(atom, value)`` of ``decided`` in ``state``, then
+        alternate the counter fixpoint with ``_tighten`` (skipped without
+        positive body literals) until neither moves. False on a
+        conflict, which leaves ``state`` half updated."""
+        value, live, unmet = state
+        heads, bodies, rules_of = self.heads, self.bodies, self.rules_of
+        self_negating, watch = self.self_negating, self.watch
+        queue: list[int] = []
+
+        def assign(atom: int, truth: int) -> bool:
+            if value[atom]:
+                return value[atom] == truth
+            value[atom] = truth
+            queue.append(atom)
+            return True
+
+        def support(atom: int) -> bool:
+            # 1. The body of a true atom's one unblocked rule is true.
+            for r in rules_of[atom]:
+                if unmet[r] >= 0:
+                    break
+            for a, way in bodies[r]:
+                if not assign(a, way):
+                    return False
+            return True
+
+        def refute(r: int) -> bool:
+            # 2. The one literal of a false atom's rule that may not hold
+            # yet is false.
+            for a, way in bodies[r]:
+                if value[a] != way:
+                    return assign(a, _TRUE + _FALSE - way)
+            return True
+
+        if not all(assign(atom, truth) for atom, truth in decided):
+            return False
+        while True:
+            # The queue grows while it is read; each atom is appended once.
+            for atom in queue:
+                truth = value[atom]
+                holding, failing = watch[truth][atom]
+                for r in failing:
+                    if unmet[r] >= 0:
+                        unmet[r] = -1
+                        head = heads[r]
+                        left = live[head] = live[head] - 1
+                        if left < 2 and value[head] == _TRUE:
+                            if not left or not support(head):
+                                return False
+                        elif not left and not value[head]:
+                            value[head] = _FALSE
+                            queue.append(head)
+                for r in holding:
+                    left = unmet[r] - 1
+                    if left < 0:
+                        continue
+                    unmet[r] = left
+                    if left > 1:
+                        continue
+                    head = heads[r]
+                    if value[head] == _FALSE:
+                        if not left or not refute(r):
+                            return False
+                    # 3. True body, but for ``not head`` if it is there.
+                    elif not value[head] and (not left or self_negating[r]):
+                        value[head] = _TRUE
+                        queue.append(head)
+                if truth == _TRUE:
+                    if not live[atom] or live[atom] == 1 and not support(atom):
+                        return False
+                else:
+                    for r in rules_of[atom]:
+                        if not unmet[r] or unmet[r] == 1 and not refute(r):
+                            return False
+            if self.bp.negative_only:
+                return True
+            lower, upper = _bounds(value)
+            bounds = _tighten(self.bp, lower, upper)
+            if bounds is None:
+                return False
+            if bounds == (lower, upper):
+                return True
+            lower, upper = bounds
+            undecided = lower ^ upper
+            queue = [a for a, v in enumerate(value) if not v and not undecided >> a & 1]
+            for atom in queue:
+                value[atom] = _TRUE if lower >> atom & 1 else _FALSE
 
 
-def _propagate(
-    bp: _BitProgram, index: tuple, summary: tuple, lower: int, upper: int
-) -> tuple[tuple, int, int] | None:
-    """Alternate the completion and the gamma fixpoint until neither
-    narrows ``[lower, upper]``; None when the interval holds no answer
-    set, else the summary of the narrowed interval and its bounds.
-    Without positive body literals the completion alone is enough
-    (module docstring)."""
-    while True:
-        completed = _complete(index, summary, lower, upper)
-        if completed is None or bp.negative_only:
-            return completed
-        summary, lower, upper = completed
-        bounds = _tighten(bp, lower, upper)
-        if bounds is None:
-            return None
-        if bounds == (lower, upper):
-            return completed
-        lower, upper = bounds
-
-
-def _search(bp: _BitProgram, found: list[int]) -> tuple[int, int]:
-    """Bound-and-branch over ``[lower, upper]`` intervals of the subset
-    lattice, propagated at every node from the summary of its parent's
-    interval. Appends the answer sets to ``found``; returns the numbers
-    of search nodes and of conflicts (nodes that hold no answer set)."""
-    index, root = _completion_index(bp)
+def _search(bp: _BitProgram) -> tuple[list[int], int, int]:
+    """Bound-and-branch over intervals of the subset lattice: the answer
+    sets, and the numbers of search nodes and of conflicts (nodes that
+    hold no answer set). The true child, popped first, propagates a copy
+    of its parent's state, and the false child the state itself."""
+    propagator = _Propagator(bp)
+    found: list[int] = []
     nodes = conflicts = 0
-    pending = [(root, 0, bp.full)]
+    pending = [(propagator.root(), propagator.initial)]
     while pending:
         nodes += 1
-        propagated = _propagate(bp, index, *pending.pop())
-        if propagated is None:
+        state, decided = pending.pop()
+        if not propagator.propagate(state, decided):
             conflicts += 1
             continue
-        summary, lower, upper = propagated
-        if lower == upper:
+        value, live, unmet = state
+        atom = value.find(0)
+        if atom < 0:
+            lower = _bounds(value)[0]
             if bp.gamma(lower) == lower:
                 found.append(lower)
             else:
                 conflicts += 1
             continue
-        undecided = upper & ~lower
-        bit = undecided & -undecided
-        pending.append((summary, lower, upper & ~bit))
-        pending.append((summary, lower | bit, upper))
-    return nodes, conflicts
+        pending.append((state, ((atom, _FALSE),)))
+        copy = bytearray(value), live.copy(), unmet.copy()
+        pending.append((copy, ((atom, _TRUE),)))
+    return found, nodes, conflicts
 
 
 def _components(program: Program) -> list[tuple[list[Rule], list[str]]]:
@@ -544,8 +544,7 @@ def enumerate_answer_sets(
     nodes = conflicts = 0
     for rules, atoms in components:
         bp = _BitProgram(rules, atoms)
-        found: list[int] = []
-        component_nodes, component_conflicts = _search(bp, found)
+        found, component_nodes, component_conflicts = _search(bp)
         nodes += component_nodes
         conflicts += component_conflicts
         parts = [bp.to_set(mask) for mask in found]

@@ -17,10 +17,12 @@ from hypothesis import settings, strategies as st
 
 from aspnf import Literal, Program, Rule, WfsResult, neg, parse_program
 
-# Property tests draw the same examples on every run.
+# Property tests draw the same examples on every run. The ``ci`` profile
+# (``--hypothesis-profile=ci``) draws five times as many.
 settings.register_profile(
     "aspnf", derandomize=True, database=None, deadline=None, max_examples=200
 )
+settings.register_profile("ci", settings.get_profile("aspnf"), max_examples=1000)
 settings.load_profile("aspnf")
 
 PI5_TEXT = """

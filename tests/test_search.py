@@ -1,10 +1,11 @@
 """The answer-set search and the well-founded model: exact against the
-independent oracles on generated programs, the search's incremental
-propagation, the well-founded closure that compiles nothing without
-positive body literals, and the debug records of both."""
+independent oracles on generated programs, the search's counter
+propagation, the well-founded closure that compiles nothing when it
+decides every atom, and the debug records of both."""
 
 import logging
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -20,7 +21,14 @@ from aspnf import (
 )
 from aspnf import semantics
 from aspnf.generate import encode_3col, graph
-from aspnf.semantics import _BitProgram, _completion_index, _propagate
+from aspnf.semantics import (
+    _FALSE,
+    _TRUE,
+    _BitProgram,
+    _Propagator,
+    _bounds,
+    _tighten,
+)
 from conftest import (
     chain_model,
     negative_chain,
@@ -84,15 +92,53 @@ def test_well_founded_of_positive_loops():
     )
 
 
-def test_well_founded_of_a_chain_with_one_positive_link():
-    # x0 :- not x1. x1 :- not x2. x2 :- x3. x3 :- not x4. x4 :- not x5. x5.
-    rules = list(negative_chain(6).rules)
-    rules[2] = Rule("x2", (pos("x3"),))
+def test_well_founded_of_a_chain_into_a_positive_loop(caplog):
+    # x0 :- not x1. x1 :- not x2. x2 :- x3. x3 :- x2. The closure leaves
+    # every atom undefined; the alternating fixpoint finds the unfounded
+    # loop and the chain above it.
+    rules = list(negative_chain(3, fact=False).rules)
+    rules += [Rule("x2", (pos("x3"),)), Rule("x3", (pos("x2"),))]
     program = Program(tuple(rules))
     expected = WfsResult(
-        frozenset({"x5", "x3", "x2", "x0"}), frozenset({"x4", "x1"}), frozenset()
+        frozenset({"x1"}), frozenset({"x0", "x2", "x3"}), frozenset()
     )
     assert well_founded(program) == expected == oracle_well_founded(program)
+    stats = _wfs_stats(caplog, program)
+    assert stats["decided"] == 0 and stats["rounds"] > 0, stats
+
+
+def _positive_ladder(n):
+    """``a{k} :- a{k+1}, not b{k}. b{k} :- not a{k}.`` for k < ``n``:
+    positive bodies, yet the closure decides every atom."""
+    text = "".join(
+        f"a{k} :- a{k + 1}, not b{k}. b{k} :- not a{k}. " for k in range(n)
+    )
+    return parse_program(text)
+
+
+def test_well_founded_skips_the_fallback_when_the_closure_is_total(
+    monkeypatch, caplog
+):
+    # a300 has no rule, so it is false, and each a{k} then has no live
+    # rule: the closure decides all 601 atoms and nothing is compiled.
+    program = _positive_ladder(300)
+    assert _wfs_stats(caplog, program) == {
+        "atoms": 601, "rules": 600, "decided": 601, "rounds": 0
+    }
+    expected = WfsResult(
+        frozenset(f"b{k}" for k in range(300)),
+        frozenset(f"a{k}" for k in range(301)),
+        frozenset(),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the alternating fixpoint ran")
+
+    monkeypatch.setattr(semantics, "_tighten", refuse)
+    monkeypatch.setattr(semantics._BitProgram, "gamma", refuse)
+    assert well_founded(program) == expected
+    small = _positive_ladder(4)
+    assert well_founded(small) == oracle_well_founded(small)
 
 
 def _wfs_stats(caplog, program):
@@ -118,68 +164,165 @@ def test_well_founded_record(caplog, pi6):
     }
 
 
-def _normal(propagated):
-    """A propagation result with its true atoms' supports in one order."""
-    if propagated is None:
-        return None
-    (entries, supports, blocked, false_heads), lower, upper = propagated
-    return (list(entries), sorted(supports), blocked, false_heads), lower, upper
+def _state_of(propagator, value):
+    """The state that atom values define: the values, each atom's
+    number of unblocked rules, and each rule's number of literals that
+    do not hold, or -1 when one is false."""
+    unmet = []
+    for body in propagator.bodies:
+        if any(value[a] not in (0, way) for a, way in body):
+            unmet.append(-1)
+        else:
+            unmet.append(sum(value[a] != way for a, way in body))
+    live = [sum(unmet[r] >= 0 for r in rules) for rules in propagator.rules_of]
+    return value, live, unmet
 
 
-def _summary_of(root, lower, upper):
-    """The summary of ``[lower, upper]`` by its definition: the entries
-    of the undecided atoms, the rules of the true atoms with two or more
-    live rules, the blocked rules and the rules with a false head."""
-    entries, supports, blocked, false_heads = root[0], [], 0, 0
-    for bit, heads, pos_rules, neg_rules, _lit_rules in entries:
-        if bit & lower:
-            blocked |= neg_rules
-            supports.append(heads)
-        elif not bit & upper:
-            blocked |= pos_rules
-            false_heads |= heads
-    undecided = [entry for entry in entries if entry[0] & upper & ~lower]
-    supports = [h for h in supports if h & ~blocked & (h & ~blocked) - 1]
-    return (undecided, sorted(supports), blocked, false_heads), lower, upper
+def _open_inferences(propagator, state):
+    """The inferences of the module docstring that would still narrow
+    or refute ``state``, by their definitions; empty at a fixpoint."""
+    value, _live, unmet = state
+    found = []
+    for atom, rules in enumerate(propagator.rules_of):
+        unblocked = [r for r in rules if unmet[r] >= 0]
+        if value[atom] != _FALSE and not unblocked:
+            found.append(("support", atom))
+        if value[atom] == _TRUE and len(unblocked) == 1:
+            if unmet[unblocked[0]]:
+                found.append(("support", atom))
+        for r in unblocked:
+            if value[atom] == _FALSE and unmet[r] < 2:
+                found.append(("false head", r))
+            selfneg = propagator.self_negating[r]
+            if not value[atom] and unmet[r] <= selfneg:
+                found.append(("true body", r))
+    bp = propagator.bp
+    if not bp.negative_only:
+        lower, upper = _bounds(value)
+        if _tighten(bp, lower, upper) != (lower, upper):
+            found.append(("gamma", lower, upper))
+    return found
+
+
+def _walk(propagator, data, check):
+    """Down a random branch path from the root, call ``check`` on the
+    decisions so far and the propagated node's state, or None on a
+    conflict."""
+    decided = []
+    state = propagator.root()
+    if not propagator.propagate(state, propagator.initial):
+        state = None
+    while True:
+        check(decided, state)
+        if state is None or state[0].find(0) < 0:
+            return
+        undecided = [a for a, v in enumerate(state[0]) if not v]
+        decision = (
+            data.draw(st.sampled_from(undecided)),
+            data.draw(st.sampled_from((_TRUE, _FALSE))),
+        )
+        decided.append(decision)
+        child = bytearray(state[0]), state[1].copy(), state[2].copy()
+        state = child if propagator.propagate(child, [decision]) else None
+
+
+@pytest.mark.parametrize(
+    "text, decided, true, false",
+    [
+        # 1. Support: p's one unblocked rule makes q false and r true.
+        (
+            "p :- not q, r. p :- s. s :- not t. t :- not s. q :- not u. "
+            "u :- not q. r :- not v. v :- not r.",
+            {"p": True, "s": False},
+            "p r t u",
+            "q s v",
+        ),
+        # 2. False head: a's rule has one literal left, so c is true.
+        (
+            "a :- not b, not c. b :- not d. d :- not b. c :- not e. e :- not c.",
+            {"b": False, "a": False},
+            "c d",
+            "a b e",
+        ),
+        # 3. True body but for ``not p``: p is true, and needs ``not s``.
+        (
+            "p :- not p, q. q :- not r. r :- not q. p :- not s. s :- not p.",
+            {"q": True},
+            "p q",
+            "r s",
+        ),
+        # 1. No unblocked rule: b, then a, is false.
+        ("a :- b. b :- not c. c :- not b.", {"c": True}, "c", "a b"),
+    ],
+)
+def test_each_inference_of_the_completion(text, decided, true, false):
+    program = parse_program(text)
+    bp = _BitProgram(program.rules, program.atoms)
+    propagator = _Propagator(bp)
+    state = propagator.root()
+    assert propagator.propagate(state, propagator.initial)
+    for atom, truth in decided.items():
+        decision = bp.index[atom], _TRUE if truth else _FALSE
+        assert propagator.propagate(state, [decision])
+    lower, upper = _bounds(state[0])
+    assert bp.to_set(lower) == set(true.split())
+    assert bp.to_set(bp.full & ~upper) == set(false.split())
 
 
 @given(programs(), st.data())
-def test_a_node_propagates_from_its_parents_summary(program, data):
-    # Down a random branch path, propagating a child from the summary of
-    # its parent's interval gives what propagating it from the root
-    # summary gives: the same interval and summary, or None. Each
-    # summary is the one its interval defines.
+def test_a_node_propagates_from_its_parents_state(program, data):
+    # Propagating a child from a copy of its parent's state gives what
+    # propagating the same decisions from the root gives: the same
+    # state, or a conflict. Each state is the one its values define, and
+    # no inference is left to draw from it.
+    propagator = _Propagator(_BitProgram(program.rules, program.atoms))
+
+    def check(decided, state):
+        again = propagator.root()
+        if not propagator.propagate(again, propagator.initial + decided):
+            again = None
+        assert state == again
+        if state is not None:
+            assert state == _state_of(propagator, state[0])
+            assert _open_inferences(propagator, state) == []
+
+    _walk(propagator, data, check)
+
+
+@given(programs(), st.data())
+def test_a_node_keeps_every_answer_that_agrees_with_its_decisions(program, data):
+    # Soundness: an answer set that takes every decision on the path
+    # lies inside the node's propagated interval.
     bp = _BitProgram(program.rules, program.atoms)
-    index, root = _completion_index(bp)
-    node = _normal(_propagate(bp, index, root, 0, bp.full))
-    while node is not None:
-        summary, lower, upper = node
-        assert node == _summary_of(root, lower, upper)
-        if lower == upper:
-            break
-        undecided = [i for i in range(len(bp.atoms)) if (upper & ~lower) >> i & 1]
-        bit = 1 << data.draw(st.sampled_from(undecided))
-        if data.draw(st.booleans()):
-            lower |= bit
-        else:
-            upper &= ~bit
-        node = _normal(_propagate(bp, index, summary, lower, upper))
-        assert node == _normal(_propagate(bp, index, root, lower, upper))
+    answers = [bp.to_mask(s) for s in oracle_answer_sets(program)]
+
+    def check(decided, state):
+        for answer in answers:
+            if all((answer >> a & 1) == (truth == _TRUE) for a, truth in decided):
+                assert state is not None
+                lower, upper = _bounds(state[0])
+                assert lower & ~answer == 0 and answer & ~upper == 0
+
+    _walk(_Propagator(bp), data, check)
 
 
 def _cycle(nodes):
     return [(u, nodes[(i + 1) % len(nodes)]) for i, u in enumerate(nodes)]
 
 
-def _search_stats(caplog, g):
-    """The debug record's dict for the 3-colouring of ``g``."""
+def _enumeration_stats(caplog, program):
+    """The enumeration debug record's dict for ``program``."""
     caplog.set_level(logging.DEBUG, logger="aspnf")
     caplog.clear()
-    program = encode_3col(g)
     answers = len(enumerate_answer_sets(program, max_atoms=len(program.atoms)))
     [record] = [r for r in caplog.records if r.name == "aspnf"]
     assert record.args["answers"] == answers
     return record.args
+
+
+def _search_stats(caplog, g):
+    """The debug record's dict for the 3-colouring of ``g``."""
+    return _enumeration_stats(caplog, encode_3col(g))
 
 
 def test_search_record(caplog):
@@ -214,6 +357,31 @@ def test_uncolourable_first_component_ends_the_search(caplog):
     assert stats["answers"] == 0
     assert stats["nodes"] < 50, stats
     assert (stats["nodes"], stats["conflicts"]) == (11, 6), stats
+
+
+# A programs() draw with positive bodies, conflicts and three answers.
+DRAWN = """
+x4 :- not x4, not x6, not x1.  x2 :- not x6.  x6 :- not x2.
+x1 :- not x6, not x3.  x6 :- not x1.  x1 :- not x0, not x2, x1, not x6.
+x0 :- not x1.  x2 :- not x1.  x1 :- not x2.  x0 :- x2, x4, x3.
+x0 :- not x5, x4, not x3.  x5 :- not x0.  x2 :- x4.  x1 :- not x3, not x6.
+"""
+
+
+def test_search_record_with_positive_bodies(caplog):
+    # With positive body literals ``_tighten`` runs between counter
+    # fixpoints; the search takes exactly the nodes and conflicts of the
+    # current pruning. A positive loop, the same loop fed by an even
+    # cycle, and a drawn program.
+    for text, pin in (
+        ("a :- b. b :- a. c :- not a.", (1, 0)),
+        ("a :- not b. b :- not a. p :- q. q :- p. p :- a. q :- not p, b.", (5, 2)),
+        (DRAWN, (7, 1)),
+    ):
+        program = parse_program(text)
+        stats = _enumeration_stats(caplog, program)
+        assert (stats["nodes"], stats["conflicts"]) == pin, (text, stats)
+        assert list(enumerate_answer_sets(program)) == oracle_answer_sets(program)
 
 
 EVEN_LOOP = Program((Rule("x0", (neg("x1"),)), Rule("x1", (neg("x0"),))))
