@@ -252,12 +252,16 @@ class StructuralIndex:
     def __init__(self, program: Program) -> None:
         witnesses: dict[tuple[str, str], list[Rule]] = defaultdict(list)
         for rule in program.rules:
-            for lit in rule.body:
-                # the rest of the body must not mention the rule's own head
-                if lit.negated and not any(
-                    o.atom == rule.head for o in rule.body if o != lit
-                ):
-                    witnesses[rule.head, lit.atom].append(rule)
+            # the rest of the body must not mention the rule's own head,
+            # so only ``not head`` may, and then only as the step
+            head = rule.head
+            own = [lit for lit in rule.body if lit.atom == head]
+            if not own:
+                for atom, negated in rule.body:
+                    if negated:
+                        witnesses[head, atom].append(rule)
+            elif own == [(head, True)]:
+                witnesses[head, head].append(rule)
         successors: dict[str, list[str]] = defaultdict(list)
         for source, target in witnesses:
             if source != target:

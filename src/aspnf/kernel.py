@@ -73,9 +73,7 @@ def check_kernel(program: Program) -> KernelReport:
     for rule in program.rules:
         if rule.is_fact or any(not lit.negated for lit in rule.body):
             violations.append(KernelViolation(COND_NEGATIVE_BODIES, rule))
-    in_some_body: set[str] = set()
-    for rule in program.rules:
-        in_some_body.update(lit.atom for lit in rule.body)
+    in_some_body = {lit.atom for rule in program.rules for lit in rule.body}
     for atom in sorted(program.atoms - in_some_body):
         violations.append(KernelViolation(COND_ATOM_IN_BODY, atom))
     return KernelReport(tuple(violations))

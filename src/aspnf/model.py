@@ -75,7 +75,7 @@ class Rule(_RuleFields):
     __slots__ = ()
 
     def __new__(cls, head: str, body: Iterable[Literal] = ()) -> Rule:
-        return super().__new__(cls, head, tuple(dict.fromkeys(body)))
+        return tuple.__new__(cls, (head, tuple(dict.fromkeys(body))))
 
     @property
     def is_fact(self) -> bool:
@@ -102,11 +102,9 @@ class Program:
 
     @cached_property
     def atoms(self) -> frozenset[str]:
-        collected: set[str] = set()
-        for rule in self.rules:
-            collected.add(rule.head)
-            collected.update(lit.atom for lit in rule.body)
-        return frozenset(collected)
+        atoms = {rule.head for rule in self.rules}
+        atoms.update([lit.atom for rule in self.rules for lit in rule.body])
+        return frozenset(atoms)
 
     def __len__(self) -> int:
         return len(self.rules)

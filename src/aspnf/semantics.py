@@ -56,17 +56,21 @@ true and take no part. The completion is too strong for the
 well-founded model (on ``q :- not q. q :- not a.`` it makes ``q`` true,
 which that model leaves undefined); the closure of ``well_founded``
 draws only the first sentence of inference 1, and inference 3 for
-bodies that hold outright. At a leaf the search keeps ``lower`` iff
-``gamma(lower) == lower``, so the result is exact whatever the
-propagation prunes; the tests cross-check it, and the well-founded
-model, against independent implementations.
+bodies that hold outright. At a leaf of a program with positive body
+literals the search keeps ``lower`` iff ``gamma(lower) == lower``, so
+the result is exact whatever the propagation prunes; the tests
+cross-check it, and the well-founded model, against independent
+implementations.
 
 Without positive body literals the completion subsumes the gamma
 fixpoint, so the search skips it. ``gamma(s)`` is then the heads of
 rules with no negative body atom in ``s``: ``gamma(upper)`` is the
 heads of bodies that hold, which inference 3 has made true, and ``upper
 & gamma(lower)`` drops exactly the atoms with no unblocked rule, which
-inference 1 has made false.
+inference 1 has made false. Nor does such a program need the leaf
+check. At a total assignment a rule is unblocked iff all its literals
+hold. Inference 3 puts every such head in ``lower``, and support gives
+every true atom such a rule, so ``gamma(lower) == lower``.
 
 Before searching, ``enumerate_answer_sets`` splits the program into the
 connected components of its atom-rule incidence graph, where an atom
@@ -163,13 +167,18 @@ def well_founded(program: Program) -> WfsResult:
     No interval lies strictly above a total one, so when the closure
     decides every atom it is the model, and nothing is compiled.
 
+    Without facts and atoms that have no rule, the closure decides
+    nothing and builds no occurrence index.
+
     One debug record on the ``aspnf`` logger gives the atoms, rules,
     atoms the closure decided and ``_tighten`` rounds run.
     """
-    true_atoms, false_atoms, positive = _closure(program)
+    true_atoms, false_atoms = _closure(program)
     decided = len(true_atoms) + len(false_atoms)
     rounds = [0]
-    if positive and decided < len(program.atoms):
+    if decided < len(program.atoms) and not all(
+        lit.negated for rule in program.rules for lit in rule.body
+    ):
         bp = _BitProgram(program.rules, program.atoms)
         bounds = _tighten(
             bp, bp.to_mask(true_atoms), bp.full & ~bp.to_mask(false_atoms), rounds
@@ -192,9 +201,8 @@ def well_founded(program: Program) -> WfsResult:
     return WfsResult(frozenset(true_atoms), frozenset(false_atoms), undefined)
 
 
-def _closure(program: Program) -> tuple[set[str], set[str], bool]:
-    """The true and false atoms of the closure of ``well_founded``, and
-    whether some rule has a positive body literal.
+def _closure(program: Program) -> tuple[set[str], set[str]]:
+    """The true and false atoms of the closure of ``well_founded``.
 
     Each rule counts its literals that do not hold yet, and each atom its
     live rules. Each atom is decided and queued at most once, and when
@@ -202,18 +210,22 @@ def _closure(program: Program) -> tuple[set[str], set[str], bool]:
     once: the literal either holds, and its rule's count drops, or is
     false, and its rule dies. A rule whose count reaches 0 has no false
     literal, so it never dies, and its head never loses its last live
-    rule."""
+    rule. Atoms with no rule and heads of facts start the queue; without
+    them it returns before building the occurrence index, as on every
+    program in kernel form."""
     rules = program.rules
     heads = [rule.head for rule in rules]
-    pending = [len(rule.body) for rule in rules]
     live = Counter(heads)
+    value = dict.fromkeys(program.atoms - live.keys(), False)
+    value.update((rule.head, True) for rule in rules if not rule.body)
+    if not value:
+        return set(), set()
+    pending = [len(rule.body) for rule in rules]
     positive: dict[str, list[int]] = {}
     negative: dict[str, list[int]] = {}
     for r, rule in enumerate(rules):
         for atom, negated in rule.body:
             (negative if negated else positive).setdefault(atom, []).append(r)
-    value = dict.fromkeys(program.atoms - live.keys(), False)
-    value.update((head, True) for head, count in zip(heads, pending) if not count)
     queue = list(value)
     dead = bytearray(len(rules))
     # The queue grows while it is read; each atom is appended once.
@@ -236,7 +248,7 @@ def _closure(program: Program) -> tuple[set[str], set[str], bool]:
                 value[heads[r]] = True
                 queue.append(heads[r])
     true_atoms = {atom for atom, holds in value.items() if holds}
-    return true_atoms, value.keys() - true_atoms, bool(positive)
+    return true_atoms, value.keys() - true_atoms
 
 
 class _BitProgram:
@@ -486,7 +498,7 @@ def _search(bp: _BitProgram) -> tuple[list[int], int, int]:
         atom = value.find(0)
         if atom < 0:
             lower = _bounds(value)[0]
-            if bp.gamma(lower) == lower:
+            if bp.negative_only or bp.gamma(lower) == lower:
                 found.append(lower)
             else:
                 conflicts += 1

@@ -109,6 +109,8 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
     """Parse program text; see the module docstring for the grammar."""
     match_head = _RULE_START[allow_reserved].match
     match_literal = _LITERAL[allow_reserved].match
+    # ``Literal``'s own ``__new__`` is a Python function; this is its body.
+    new_literal = tuple.__new__
     rules: list[Rule] = []
     # indices of ":- body." rules; their guards are named once every
     # atom of the input is known
@@ -136,15 +138,17 @@ def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
             if m is None:
                 _locate(text, pos, False, allow_reserved)
             negated, name, args, spaced, sep = m.groups()
-            body.append(Literal(_flat(name, args, spaced), negated is not None))
+            if args is not None:
+                name += args
+            elif spaced is not None:
+                name = _flat(name, args, spaced)
+            body.append(new_literal(Literal, (name, negated is not None)))
             pos = m.end()
             if sep == ".":
                 break
         rules.append(Rule(head, body))
     if constraints:
-        atoms = {rule.head for rule in rules}
-        atoms.update(lit.atom for rule in rules for lit in rule.body)
-        tags = fresh_tags(atoms, _GUARD_NAME)
+        tags = fresh_tags(Program(tuple(rules)).atoms, _GUARD_NAME)
         for i in constraints:
             guard = f"__c_{next(tags)}"
             rules[i] = Rule(guard, (neg(guard),) + rules[i].body)

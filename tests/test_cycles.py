@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from aspnf import (
     AND_BRIDGE,
@@ -359,6 +359,28 @@ def test_index_matches_cycles(program):
         and not any(lit.atom == rule.head for lit in rule.body)
     ]
     assert [rule for rule in program.rules if index.is_auxiliary(rule)] == auxiliary
+
+
+def reference_witnesses(program):
+    """The witnesses by their definition: ``not b`` in a rule's body,
+    with no other literal of the body on the rule's head."""
+    witnesses = {}
+    for rule in program.rules:
+        for lit in rule.body:
+            if lit.negated and not any(
+                other.atom == rule.head for other in rule.body if other != lit
+            ):
+                witnesses.setdefault((rule.head, lit.atom), []).append(rule)
+    return witnesses
+
+
+@given(st.one_of(programs(), kernel_expansions, bridged_programs()))
+@example(parse_program("h :- not h, h. h :- not h, not b. b :- not h."))
+@example(parse_program("h :- h, not b. h :- not b, not h, not c. b :- not h, h."))
+def test_witnesses_match_their_definition(program):
+    # Same steps, in the same order, with the same rules per step.
+    witnesses = StructuralIndex(program).witnesses
+    assert list(witnesses.items()) == list(reference_witnesses(program).items())
 
 
 @given(st.one_of(bridged_programs(), kernel_expansions))

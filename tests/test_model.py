@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from aspnf import (
     Literal,
@@ -16,7 +17,7 @@ from aspnf import (
     pos,
     well_founded,
 )
-from conftest import random_general_program
+from conftest import programs, random_general_program
 
 
 def test_build_program_empty():
@@ -75,6 +76,14 @@ def test_build_program_rejects_malformed_names():
         with pytest.raises(ValueError):
             build_program([Rule(name, ())])
     assert build_program([Rule("color(0,red)", ())]).atoms == {"color(0,red)"}
+
+
+@given(programs())
+def test_atoms_are_the_heads_and_body_atoms(program):
+    union = set()
+    for rule in program.rules:
+        union |= {rule.head} | {lit.atom for lit in rule.body}
+    assert type(program.atoms) is frozenset and program.atoms == union
 
 
 def test_rebuild_is_idempotent(pi6):

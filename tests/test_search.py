@@ -4,6 +4,7 @@ propagation, the well-founded closure that compiles nothing when it
 decides every atom, and the debug records of both."""
 
 import logging
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -81,15 +82,36 @@ def test_well_founded_without_positive_bodies_compiles_nothing(monkeypatch, pi6)
         assert well_founded(program) == oracle_well_founded(program)
 
 
-def test_well_founded_of_positive_loops():
-    # The closure decides nothing here; the alternating fixpoint finds
-    # the unfounded loops.
+def test_well_founded_without_seeds_builds_no_occurrence_index(
+    monkeypatch, caplog
+):
+    # Every atom of 3-col of C5 has a rule and no rule is a fact, so the
+    # closure has nothing to start from. Its occurrence index is the one
+    # ``enumerate`` on this path, so refusing ``enumerate`` shows that it
+    # returns before building it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure built its occurrence index")
+
+    c5 = encode_3col(graph(range(5), _cycle(list(range(5)))))
+    monkeypatch.setattr(semantics, "enumerate", refuse, raising=False)
+    assert well_founded(c5) == oracle_well_founded(c5)
+    assert _wfs_stats(caplog, c5) == {
+        "atoms": 40, "rules": 55, "decided": 0, "rounds": 0
+    }
+
+
+def test_well_founded_of_positive_loops(caplog):
+    # The closure has nothing to start from here; the alternating
+    # fixpoint, run from the root interval, finds the unfounded loops.
     assert well_founded(parse_program("a :- a.")) == WfsResult(
         frozenset(), frozenset({"a"}), frozenset()
     )
-    assert well_founded(parse_program("a :- b. b :- a. c :- not a.")) == WfsResult(
+    loop = parse_program("a :- b. b :- a. c :- not a.")
+    assert well_founded(loop) == WfsResult(
         frozenset({"c"}), frozenset({"a", "b"}), frozenset()
     )
+    stats = _wfs_stats(caplog, loop)
+    assert stats["decided"] == 0 and stats["rounds"] > 0, stats
 
 
 def test_well_founded_of_a_chain_into_a_positive_loop(caplog):
@@ -325,9 +347,24 @@ def _search_stats(caplog, g):
     return _enumeration_stats(caplog, encode_3col(g))
 
 
-def test_search_record(caplog):
+def refuse_gamma(*args, **kwargs):
+    raise AssertionError("gamma ran")
+
+
+@given(programs(negative_only=True))
+def test_negative_only_search_runs_no_gamma(program):
+    # The completed counter fixpoint of a total assignment is a fixpoint
+    # of gamma (module docstring), so no leaf checks it.
+    with mock.patch.object(_BitProgram, "gamma", refuse_gamma):
+        answers = list(enumerate_answer_sets(program))
+    assert answers == oracle_answer_sets(program)
+
+
+def test_search_record(caplog, monkeypatch):
     # 3-colourings of the cycle C_n: fewer than 3 search nodes per answer,
-    # and exactly the nodes and conflicts of the current pruning.
+    # and exactly the nodes and conflicts of the current pruning, with no
+    # leaf check.
+    monkeypatch.setattr(_BitProgram, "gamma", refuse_gamma)
     for n, nodes in ((6, 131), (8, 515), (10, 2051)):
         stats = _search_stats(caplog, graph(range(n), _cycle(list(range(n)))))
         assert stats["atoms"] == 8 * n and stats["rules"] == 11 * n

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from aspnf import (
     AspnfError,
+    Literal,
     ParseError,
     Program,
     ReservedAtomError,
@@ -236,6 +237,48 @@ def test_round_trip_random_programs():
 @given(programs())
 def test_render_then_parse_is_identity(program):
     assert parse_program(render_program(program), allow_reserved=True) == program
+
+
+# Spellings of an atom x: itself, and ``p(x,1)`` with an argument list
+# free of blanks and comments, or with some for the parser to strip.
+SPELLINGS = ["{}", "p({},1)", "p ({},1)", "p({}, 1)", "p( {} ,% c\n 1 )"]
+
+
+@given(programs(), st.data())
+def test_parsed_rules_and_literals_are_rules_and_literals(program, data):
+    # The parser builds literals without ``Literal``'s own constructor.
+    # Each atom is written in one of SPELLINGS, and each body with some
+    # literals repeated, in any order; shuffled bodies may make two rules
+    # equal, and the program keeps the first.
+    rng = data.draw(st.randoms(use_true_random=False))
+    spelling = {atom: rng.choice(SPELLINGS) for atom in sorted(program.atoms)}
+
+    def flat(atom):
+        return atom if spelling[atom] == "{}" else f"p({atom},1)"
+
+    lines, expected = [], []
+    for rule in program.rules:
+        written = list(rule.body)
+        if written:
+            written += rng.choices(written, k=rng.randint(0, 3))
+            rng.shuffle(written)
+        body = [
+            ("not " if lit.negated else "") + spelling[lit.atom].format(lit.atom)
+            for lit in written
+        ]
+        head = spelling[rule.head].format(rule.head)
+        lines.append(head + (" :- " + ", ".join(body) if body else "") + ".")
+        first = []
+        for lit in written:
+            if lit not in first:
+                first.append(lit)
+        expected.append(Rule(flat(rule.head), [Literal(flat(a), n) for a, n in first]))
+    parsed = parse_program("\n".join(lines))
+    assert parsed.rules == tuple(dict.fromkeys(expected))
+    for rule in parsed.rules:
+        assert type(rule) is Rule
+        assert all(type(lit) is Literal for lit in rule.body)
+        assert all(type(lit.negated) is bool for lit in rule.body)
 
 
 # The grammar's alphabet: names, the keyword, reserved names, numbers,
