@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import AspnfError
 from .generate import decode_3col, encode_3col, graph, random_kernel_program
@@ -85,10 +86,12 @@ def _cmd_kernel_check(args: argparse.Namespace) -> int:
 
 def _cmd_3kernel_check(args: argparse.Namespace) -> int:
     report = check_3kernel(_read_program(args))
-    print(f"3-kernel form: {'yes' if report.is_3kernel else 'no'}")
-    for violation in report.violations:
-        print(f"  - condition {violation.condition} ({violation.label}): "
-              f"{violation.witness}")
+    lines = [f"3-kernel form: {'yes' if report.is_3kernel else 'no'}"]
+    lines += [
+        f"  - condition {v.condition} ({v.label}): {v.witness}"
+        for v in report.violations
+    ]
+    print("\n".join(lines))
     return 0 if report.is_3kernel else 1
 
 
@@ -105,12 +108,34 @@ def _cmd_antichain2kernel(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts, lists and strings,
+    built by joins: with ``indent`` the json module falls back to its
+    pure-Python encoder, which yields one chunk per token."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if not value:
+        return "{}" if type(value) is dict else "[]"
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if type(value) is dict:
+        body = separator.join([
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    body = separator.join([
+        encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
+        for item in value
+    ])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _cmd_3kernelize(args: argparse.Namespace) -> int:
     result, trace = three_kernelize(_read_program(args))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
-            json.dump(trace_to_dict(trace), handle, indent=2)
-            handle.write("\n")
+            handle.write(_json_text(trace_to_dict(trace)) + "\n")
     print(render_program(result), end="")
     return 0
 

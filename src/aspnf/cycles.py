@@ -19,13 +19,16 @@ when its body has ``not b`` and the rest of the body does not mention
 ``h``; it is in some cycle iff ``b == h`` or ``b`` lies in the strongly
 connected component of ``h`` in the graph of steps. So one witness pass
 and one Tarjan pass (iterative) give the in-cycle rules and atoms and
-the AND handles, gathered per program into a :class:`StructuralIndex`,
+the cycle steps, gathered per program into a :class:`StructuralIndex`,
 which also tells whether a rule is auxiliary, its body an OR handle
-(:meth:`StructuralIndex.is_auxiliary`). No other code computes a
-handle; the long-rule rewrite and the bridge search read only that
-index. Whether a bridge target lies in a cycle other than the anchor's
-is a component question too, except for a self-loop anchor
-``p :- not p, not c`` whose chain leads back to ``p`` (see
+(:meth:`StructuralIndex.is_auxiliary`). The long-rule rewrite and the
+bridge search read only that index. The bridge search reads the cycle
+steps directly, since only a two-literal body leaves an AND handle of
+one literal; the table of all AND handles
+(:attr:`StructuralIndex.handles`) is built only when asked for, by
+``check_3kernel``. Whether a bridge target lies in a cycle other than
+the anchor's is a component question too, except for a self-loop
+anchor ``p :- not p, not c`` whose chain leads back to ``p`` (see
 :func:`find_bridges`).
 
 The index lists nothing. Condition 5 of the 3-kernel check asks one
@@ -254,14 +257,15 @@ class StructuralIndex:
         for rule in program.rules:
             # the rest of the body must not mention the rule's own head,
             # so only ``not head`` may, and then only as the step
-            head = rule.head
-            own = [lit for lit in rule.body if lit.atom == head]
-            if not own:
-                for atom, negated in rule.body:
+            head, body = rule
+            if (head, False) in body:
+                continue
+            if (head, True) in body:
+                witnesses[head, head].append(rule)
+            else:
+                for atom, negated in body:
                     if negated:
                         witnesses[head, atom].append(rule)
-            elif own == [(head, True)]:
-                witnesses[head, head].append(rule)
         successors: dict[str, list[str]] = defaultdict(list)
         for source, target in witnesses:
             if source != target:
@@ -278,9 +282,10 @@ class StructuralIndex:
             for (head, step), rules in witnesses.items()
             if head == step or step in self._component_of.get(head, ())
         ]
-        self.in_cycle_rules = frozenset(
-            rule for _step, rules in self._cycle_steps for rule in rules
-        )
+        in_cycle_rules: set[Rule] = set()
+        for _step, rules in self._cycle_steps:
+            in_cycle_rules.update(rules)
+        self.in_cycle_rules = frozenset(in_cycle_rules)
         self.in_cycle_atoms = frozenset(rule.head for rule in self.in_cycle_rules)
 
     @cached_property
@@ -339,16 +344,30 @@ def find_bridges(program: Program) -> tuple[Bridge, ...]:
     ``p :- not p, not c``, which does not witness ``p -> c``: a chain
     back to ``p`` is refused when that self-loop is the one cycle
     through ``p``.
+
+    AND candidates come from the index's cycle steps, not from
+    :attr:`StructuralIndex.handles`: a step's handle is its body minus
+    ``not step``, so only a two-literal body leaves one literal.
     """
     index = StructuralIndex(program)
     in_cycle_atoms = index.in_cycle_atoms
-    cycle_steps = Counter(rule.head for rule, _step in index.handles)
+    candidates = [
+        (OR_BRIDGE, r, r.body[0])
+        for r in program.rules
+        if len(r.body) == 1 and index.is_auxiliary(r)
+    ]
+    cycle_steps: Counter[str] = Counter()
+    for step, rules in index._cycle_steps:
+        for rule in rules:
+            cycle_steps[rule.head] += 1
+            if len(rule.body) == 2:
+                first, second = rule.body
+                handle = second if first == (step, True) else first
+                candidates.append((AND_BRIDGE, rule, handle))
     defining: dict[str, list[Rule]] = defaultdict(list)
-    body_count: Counter[str] = Counter()
     for rule in program.rules:
         defining[rule.head].append(rule)
-        for lit in rule.body:
-            body_count[lit.atom] += 1
+    body_count = Counter([atom for rule in program.rules for atom, _ in rule.body])
 
     def walk(first: str) -> tuple[tuple[Rule, ...], str] | None:
         chain: list[Rule] = []
@@ -370,18 +389,11 @@ def find_bridges(program: Program) -> tuple[Bridge, ...]:
                 return tuple(chain), successor
             current = successor
 
-    auxiliary = filter(index.is_auxiliary, program.rules)
-    candidates = [(OR_BRIDGE, r, r.body) for r in auxiliary]
-    candidates += [(AND_BRIDGE, r, delta) for (r, _), delta in index.handles.items()]
     bridges: list[Bridge] = []
-    for kind, anchor_rule, handle in candidates:
-        if (
-            len(handle) != 1
-            or not handle[0].negated
-            or handle[0].atom in in_cycle_atoms
-        ):
+    for kind, anchor_rule, (atom, negated) in candidates:
+        if not negated or atom in in_cycle_atoms:
             continue
-        hit = walk(handle[0].atom)
+        hit = walk(atom)
         if hit is None:
             continue
         chain, target = hit

@@ -52,12 +52,13 @@ class Literal(NamedTuple):
         return f"not {self.atom}" if self.negated else self.atom
 
 
+# ``tuple.__new__`` skips the named tuple's Python-level ``__new__``
 def pos(atom: str) -> Literal:
-    return Literal(atom, False)
+    return tuple.__new__(Literal, (atom, False))
 
 
 def neg(atom: str) -> Literal:
-    return Literal(atom, True)
+    return tuple.__new__(Literal, (atom, True))
 
 
 class _RuleFields(NamedTuple):
@@ -75,7 +76,10 @@ class Rule(_RuleFields):
     __slots__ = ()
 
     def __new__(cls, head: str, body: Iterable[Literal] = ()) -> Rule:
-        return tuple.__new__(cls, (head, tuple(dict.fromkeys(body))))
+        # a tuple of fewer than two literals cannot repeat one
+        if type(body) is not tuple or len(body) > 1:
+            body = tuple(dict.fromkeys(body))
+        return tuple.__new__(cls, (head, body))
 
     @property
     def is_fact(self) -> bool:
@@ -84,7 +88,8 @@ class Rule(_RuleFields):
     def __str__(self) -> str:
         if not self.body:
             return f"{self.head}."
-        return f"{self.head} :- {', '.join(map(str, self.body))}."
+        body = ", ".join([f"not {a}" if negated else a for a, negated in self.body])
+        return f"{self.head} :- {body}."
 
 
 @dataclass(frozen=True)

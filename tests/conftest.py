@@ -1,5 +1,7 @@
 """Shared fixtures: the worked example programs, independent oracles
-and the ``programs()`` strategy of the property tests.
+and the program strategies of the property tests (``programs()``,
+``random_kernel_programs``, ``kernel_expansions`` and
+``bridged_programs()``).
 
 ``oracle_answer_sets`` re-implements answer-set checking from scratch
 (its own reduct and closure code, no pruning) so that the library's
@@ -15,7 +17,16 @@ from collections import defaultdict, namedtuple
 import pytest
 from hypothesis import settings, strategies as st
 
-from aspnf import Literal, Program, Rule, WfsResult, neg, parse_program
+from aspnf import (
+    Literal,
+    Program,
+    Rule,
+    WfsResult,
+    long_rule_simplify,
+    neg,
+    parse_program,
+    random_kernel_program,
+)
 
 # Property tests draw the same examples on every run. The ``ci`` profile
 # (``--hypothesis-profile=ci``) draws five times as many.
@@ -325,3 +336,42 @@ def programs(draw, max_atoms=8, negative_only=False):
     rules = [r for group in groups for r in group]
     copies = draw(st.lists(st.sampled_from(rules), max_size=3)) if rules else []
     return Program(tuple(rules) + tuple(Rule(r.head, r.body[::-1]) for r in copies))
+
+
+random_kernel_programs = st.builds(
+    lambda atoms, extra, max_body, seed: random_kernel_program(
+        atoms, atoms + extra, max_body=max_body, seed=seed
+    ),
+    st.integers(1, 7),
+    st.integers(0, 5),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+)
+# their long-rule rewrites: fresh even cycles and guards
+kernel_expansions = random_kernel_programs.map(lambda p: long_rule_simplify(p)[0])
+
+
+@st.composite
+def bridged_programs(draw):
+    """Even loops and one- or two-literal negative rules over five
+    atoms, plus one to three chains of fresh atoms from an anchor rule
+    to a target atom: bridges are common, and so are chains back to a
+    self-loop anchor."""
+    names = st.sampled_from([f"x{i}" for i in range(5)])
+    negative_rule = st.builds(
+        lambda head, body: [Rule(head, tuple(map(neg, body)))],
+        names,
+        st.lists(names, min_size=1, max_size=2),
+    )
+    even_loop = st.builds(
+        lambda a, b: [Rule(a, (neg(b),)), Rule(b, (neg(a),))], names, names
+    )
+    groups = draw(st.lists(st.one_of(even_loop, negative_rule), min_size=1, max_size=6))
+    rules = [rule for group in groups for rule in group]
+    for k in range(draw(st.integers(1, 3))):
+        chain = [f"c{k}_{i}" for i in range(draw(st.integers(1, 3)))]
+        anchor, step, target = draw(names), draw(names), draw(names)
+        handle = [neg(step)] if draw(st.booleans()) else []
+        rules.append(Rule(anchor, (*handle, neg(chain[0]))))
+        rules += [Rule(a, (neg(b),)) for a, b in zip(chain, chain[1:] + [target])]
+    return Program(tuple(rules))

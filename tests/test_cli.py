@@ -9,11 +9,26 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from aspnf import random_kernel_program, render_program, three_kernelize
-from aspnf.cli import main
-from conftest import CASE_II_TEXT, PI5_TEXT, PI6_TEXT, negative_chain
+from aspnf import (
+    check_kernel,
+    parse_program,
+    random_kernel_program,
+    render_program,
+    three_kernelize,
+    trace_to_dict,
+)
+from aspnf.cli import _json_text, main
+from conftest import (
+    CASE_II_TEXT,
+    PI5_TEXT,
+    PI6_TEXT,
+    bridged_programs,
+    kernel_expansions,
+    negative_chain,
+    random_kernel_programs,
+)
 
 
 @pytest.fixture
@@ -158,6 +173,46 @@ def test_3kernelize_with_trace(tmp_path, capsys):
     assert "p :- a." in out
     document = json.loads(trace_path.read_text())
     assert [step["kind"] for step in document["steps"]] == ["or-bridge-odd"]
+
+
+@given(st.one_of(random_kernel_programs, kernel_expansions, bridged_programs()))
+def test_3kernelize_trace_is_the_json_module_text(tmp_path_factory, program):
+    assume(check_kernel(program).is_kernel)
+    text = render_program(program)
+    source = tmp_path_factory.getbasetemp() / "traced.lp"
+    trace_path = tmp_path_factory.getbasetemp() / "trace.json"
+    source.write_text(text)
+    argv = ["3kernelize", "--allow-reserved", str(source), "--trace", str(trace_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    _, trace = three_kernelize(parse_program(text, allow_reserved=True))
+    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    assert trace_path.read_text(encoding="utf-8") == expected
+
+
+def test_3kernelize_trace_without_steps(tmp_path, capsys):
+    source = tmp_path / "loop.lp"
+    source.write_text("a :- not b.\nb :- not a.\n")
+    trace_path = tmp_path / "trace.json"
+    assert main(["3kernelize", str(source), "--trace", str(trace_path)]) == 0
+    assert trace_path.read_text() == (
+        '{\n  "steps": [],\n  "surviving_atoms": [\n    "a",\n    "b"\n  ]\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        "",
+        {"a": [], "b": {}, "c": [[], [{}]]},
+        ["quote \" and \\ back", "tab\tnew\nline", "caf\u00e9 \u2603 \U0001f600"],
+        {"steps": [{"kind": "x", "removed": ["h :- not a."], "notes": []}]},
+    ],
+)
+def test_json_text_matches_the_json_module(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_3kernelize_unwritable_trace_prints_nothing(tmp_path, capsys):

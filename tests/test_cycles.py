@@ -10,7 +10,6 @@ from aspnf import (
     CycleCapExceededError,
     OR_BRIDGE,
     Program,
-    Rule,
     check_3kernel,
     check_kernel,
     encode_3col,
@@ -31,7 +30,13 @@ from aspnf import cycles as cycles_module
 from aspnf import normalize as normalize_module
 from aspnf.cycles import StructuralIndex
 from aspnf.generate import graph
-from conftest import oracle_cycles, programs, rename_atoms
+from conftest import (
+    bridged_programs,
+    kernel_expansions,
+    oracle_cycles,
+    programs,
+    rename_atoms,
+)
 
 
 def cycle_by_atoms(cycles, atoms):
@@ -301,42 +306,6 @@ def test_classification_covers_program(pi5, pi6, case_i, case_iv):
         assert sorted(unindexed_rules(program)) == sorted(steps)
 
 
-kernel_expansions = st.builds(
-    lambda atoms, extra, max_body, seed: long_rule_simplify(
-        random_kernel_program(atoms, atoms + extra, max_body=max_body, seed=seed)
-    )[0],
-    st.integers(1, 7),
-    st.integers(0, 5),
-    st.integers(1, 3),
-    st.integers(0, 2**16),
-)
-
-@st.composite
-def bridged_programs(draw):
-    """Even loops and one- or two-literal negative rules over five
-    atoms, plus one to three chains of fresh atoms from an anchor rule
-    to a target atom: bridges are common, and so are chains back to a
-    self-loop anchor."""
-    names = st.sampled_from([f"x{i}" for i in range(5)])
-    negative_rule = st.builds(
-        lambda head, body: [Rule(head, tuple(map(neg, body)))],
-        names,
-        st.lists(names, min_size=1, max_size=2),
-    )
-    even_loop = st.builds(
-        lambda a, b: [Rule(a, (neg(b),)), Rule(b, (neg(a),))], names, names
-    )
-    groups = draw(st.lists(st.one_of(even_loop, negative_rule), min_size=1, max_size=6))
-    rules = [rule for group in groups for rule in group]
-    for k in range(draw(st.integers(1, 3))):
-        chain = [f"c{k}_{i}" for i in range(draw(st.integers(1, 3)))]
-        anchor, step, target = draw(names), draw(names), draw(names)
-        handle = [neg(step)] if draw(st.booleans()) else []
-        rules.append(Rule(anchor, (*handle, neg(chain[0]))))
-        rules += [Rule(a, (neg(b),)) for a, b in zip(chain, chain[1:] + [target])]
-    return Program(tuple(rules))
-
-
 @given(st.one_of(programs(), kernel_expansions, bridged_programs()))
 def test_index_matches_cycles(program):
     cycles = oracle_cycles(program)
@@ -383,6 +352,66 @@ def test_witnesses_match_their_definition(program):
     assert list(witnesses.items()) == list(reference_witnesses(program).items())
 
 
+SELF_LOOP_CHAIN = "p :- not p, not e. e :- not f. f :- not p."
+
+
+def reference_bridges(program):
+    """The bridges by their first definition: the AND candidates are
+    every entry of ``StructuralIndex.handles``, and a self-loop anchor's
+    cycle steps are counted over its keys."""
+    index = StructuralIndex(program)
+    in_cycle_atoms = index.in_cycle_atoms
+    cycle_steps = Counter(rule.head for rule, _step in index.handles)
+    defining = {}
+    body_count = Counter()
+    for rule in program.rules:
+        defining.setdefault(rule.head, []).append(rule)
+        for lit in rule.body:
+            body_count[lit.atom] += 1
+
+    def walk(current):
+        chain, seen = [], set()
+        while current not in seen and body_count[current] == 1:
+            seen.add(current)
+            defs = defining.get(current, [])
+            if len(defs) != 1 or len(defs[0].body) != 1 or not defs[0].body[0].negated:
+                return None
+            chain.append(defs[0])
+            current = defs[0].body[0].atom
+            if current in in_cycle_atoms:
+                return tuple(chain), current
+        return None
+
+    auxiliary = filter(index.is_auxiliary, program.rules)
+    candidates = [(OR_BRIDGE, r, r.body) for r in auxiliary]
+    candidates += [(AND_BRIDGE, r, delta) for (r, _), delta in index.handles.items()]
+    bridges = []
+    for kind, anchor_rule, handle in candidates:
+        if len(handle) != 1 or not handle[0].negated:
+            continue
+        if handle[0].atom in in_cycle_atoms:
+            continue
+        hit = walk(handle[0].atom)
+        if hit is None:
+            continue
+        chain, target = hit
+        if target == anchor_rule.head and cycle_steps[target] == 1:
+            continue
+        bridges.append(Bridge(kind, anchor_rule.head, anchor_rule, chain, target))
+    bridges.sort(key=lambda b: (b.anchor_atom, b.target_atom, b.chain_atoms))
+    return tuple(bridges)
+
+
+@given(st.one_of(programs(), kernel_expansions, bridged_programs()))
+@example(parse_program(SELF_LOOP_CHAIN))
+@example(parse_program(SELF_LOOP_CHAIN + "p :- not p, not q."))
+@example(parse_program(SELF_LOOP_CHAIN + "p :- not z. z :- not p."))
+@example(parse_program("p :- not p, not e. p :- p, not e. e :- not f. f :- not p."))
+@example(parse_program("a :- not b, c. b :- not a. c :- not d. d :- not c."))
+def test_bridges_match_their_definition(program):
+    assert find_bridges(program) == reference_bridges(program)
+
+
 @given(st.one_of(bridged_programs(), kernel_expansions))
 def test_bridges_pass_the_side_condition_on_cycles(program):
     # some cycle through the anchor and a different one through the target
@@ -400,9 +429,6 @@ def test_bridges_pass_the_side_condition_on_cycles(program):
             ]
         targets = [c for c in cycles if bridge.target_atom in c.atoms]
         assert any(a != t for a in anchors for t in targets)
-
-
-SELF_LOOP_CHAIN = "p :- not p, not e. e :- not f. f :- not p."
 
 
 def test_self_loop_chain_back_to_its_anchor_is_no_bridge():

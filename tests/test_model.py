@@ -42,6 +42,27 @@ def test_rule_deduplicates_body_literals():
     assert rule.body == (neg("b"), pos("c"))
 
 
+def test_pos_and_neg_build_literals():
+    for make, negated in ((pos, False), (neg, True)):
+        literal = make("a")
+        assert type(literal) is Literal
+        assert type(literal.negated) is bool
+        assert literal == Literal("a", negated)
+        assert (literal.atom, literal.negated) == ("a", negated)
+
+
+def test_rule_accepts_any_iterable_body():
+    expected = (neg("b"), pos("c"))
+    for body in ([neg("b"), pos("c"), neg("b")], iter([neg("b"), pos("c")])):
+        assert Rule("a", body).body == expected
+    assert Rule("a", (lit for lit in (neg("b"), neg("b")))).body == (neg("b"),)
+    assert Rule("a", [neg("b")]).body == (neg("b"),)
+    assert type(Rule("a", [neg("b")]).body) is tuple
+    assert Rule("a").body == () == Rule("a", []).body
+    single = (neg("b"),)
+    assert Rule("a", single).body is single
+
+
 def test_literal_contract():
     assert repr(neg("a")) == "Literal(atom='a', negated=True)"
     assert (str(neg("a")), str(pos("a"))) == ("not a", "a")
