@@ -10,8 +10,6 @@ equivalence modulo projection.
 
 from .errors import (
     AspnfError,
-    BridgeNotFoundError,
-    CycleCapExceededError,
     KernelFormError,
     MalformedAnswerSetError,
     ReconstructionError,
@@ -19,12 +17,10 @@ from .errors import (
     UniverseTooLargeError,
 )
 from .model import (
-    RESERVED_PREFIX,
     Literal,
     Program,
     Rule,
     build_program,
-    is_reserved,
     neg,
     pos,
 )
@@ -40,7 +36,6 @@ from .semantics import (
     WfsResult,
     enumerate_answer_sets,
     gamma,
-    is_answer_set,
     well_founded,
 )
 from .kernel import (
@@ -48,23 +43,13 @@ from .kernel import (
     KernelReport,
     KernelViolation,
     antichain_to_kernel,
-    bar_atom,
     check_kernel,
     equivalent_mod_projection,
     kernelize,
     parse_antichain,
-    project,
     render_antichain,
 )
-from .cycles import (
-    AND_BRIDGE,
-    OR_BRIDGE,
-    Bridge,
-    Cycle,
-    find_bridges,
-    find_cycles,
-    find_or_handles,
-)
+from .cycles import Bridge, find_bridges
 from .normalize import (
     ReconstructionFormula,
     ThreeKernelReport,
@@ -74,13 +59,10 @@ from .normalize import (
     check_3kernel,
     long_rule_simplify,
     reconstruct,
-    simplify_and_bridge,
-    simplify_or_bridge,
     three_kernelize,
     trace_to_dict,
 )
 from .generate import (
-    COLORS,
     UndirectedGraph,
     decode_3col,
     encode_3col,
@@ -91,24 +73,17 @@ from .generate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AND_BRIDGE",
     "AntiChain",
     "AspnfError",
     "Bridge",
-    "BridgeNotFoundError",
-    "COLORS",
-    "Cycle",
-    "CycleCapExceededError",
     "DEFAULT_MAX_ATOMS",
     "KernelFormError",
     "KernelReport",
     "KernelViolation",
     "Literal",
     "MalformedAnswerSetError",
-    "OR_BRIDGE",
     "ParseError",
     "Program",
-    "RESERVED_PREFIX",
     "ReconstructionError",
     "ReconstructionFormula",
     "ReservedAtomError",
@@ -122,7 +97,6 @@ __all__ = [
     "UniverseTooLargeError",
     "WfsResult",
     "antichain_to_kernel",
-    "bar_atom",
     "build_program",
     "check_3kernel",
     "check_kernel",
@@ -132,25 +106,18 @@ __all__ = [
     "equivalent_mod_projection",
     "export_dot",
     "find_bridges",
-    "find_cycles",
-    "find_or_handles",
     "gamma",
     "graph",
-    "is_answer_set",
-    "is_reserved",
     "kernelize",
     "long_rule_simplify",
     "neg",
     "parse_antichain",
     "parse_program",
     "pos",
-    "project",
     "random_kernel_program",
     "reconstruct",
     "render_antichain",
     "render_program",
-    "simplify_and_bridge",
-    "simplify_or_bridge",
     "three_kernelize",
     "trace_to_dict",
     "well_founded",

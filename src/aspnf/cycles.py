@@ -73,7 +73,7 @@ class Bridge:
     ``target_atom`` (in another cycle). ``chain[i]`` defines the i-th
     intermediate atom; parity counts the intermediates."""
 
-    kind: str  # OR_BRIDGE or AND_BRIDGE
+    kind: str  # "OR" or "AND"
     anchor_atom: str
     anchor_rule: Rule
     chain: tuple[Rule, ...]

@@ -16,7 +16,9 @@ class UniverseTooLargeError(AspnfError):
 class CycleCapExceededError(AspnfError):
     """``find_cycles`` listed more cycles than its ``max_cycles`` cap.
 
-    No other function lists cycles, so nothing else raises it."""
+    No other function lists cycles, so nothing else raises it. Not
+    re-exported from ``aspnf``: only the benchmark's corpus uses it, and
+    it goes with the cycle lister."""
 
 
 class KernelFormError(AspnfError):
@@ -24,7 +26,11 @@ class KernelFormError(AspnfError):
 
 
 class BridgeNotFoundError(AspnfError):
-    """The bridge passed to a simplification is not present in the program."""
+    """The bridge passed to a simplification is not present in the program.
+
+    Not re-exported from ``aspnf``: no CLI path simplifies one bridge at
+    a time, and it goes with ``simplify_or_bridge`` and
+    ``simplify_and_bridge``."""
 
 
 class ReconstructionError(AspnfError):

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .errors import MalformedAnswerSetError
 from .model import Program, Rule, neg
 
-COLORS = ("red", "green", "blue")
+_COLORS = ("red", "green", "blue")
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,14 @@ def encode_3col(g: UndirectedGraph) -> Program:
         rules.append(Rule(_color(v, "red"), (neg(_color(v, "blue")), neg(_color(v, "green")))))
         rules.append(Rule(_color(v, "blue"), (neg(_color(v, "red")), neg(_color(v, "green")))))
         rules.append(Rule(_color(v, "green"), (neg(_color(v, "blue")), neg(_color(v, "red")))))
-        for c in COLORS:
+        for c in _COLORS:
             rules.append(Rule(_n_color(v, c), (neg(_color(v, c)),)))
     for u, v in sorted(g.edges):
         ok = f"edge_ok({u},{v})"
         ko = f"edge_ko({u},{v})"
         rules.append(Rule(ok, (neg(ok),)))
         rules.append(Rule(ok, (neg(ko),)))
-        for c in COLORS:
+        for c in _COLORS:
             rules.append(Rule(ko, (neg(_n_color(u, c)), neg(_n_color(v, c)))))
     return Program(tuple(rules))
 
@@ -89,7 +89,7 @@ def decode_3col(
     s = frozenset(interpretation)
     coloring: dict[int, str] = {}
     for v in g.nodes:
-        found = [c for c in COLORS if _color(v, c) in s]
+        found = [c for c in _COLORS if _color(v, c) in s]
         if len(found) != 1:
             raise MalformedAnswerSetError(
                 f"node {v} has {len(found)} color atoms, expected exactly one"

@@ -36,7 +36,7 @@ MACHINE_ATOM = "__m"
 BOTTOM_ATOM = "__bot"
 
 
-def bar_atom(atom: str) -> str:
+def _bar_atom(atom: str) -> str:
     """Complement atom paired with ``atom`` by the construction."""
     return f"__bar_{atom}"
 
@@ -127,23 +127,15 @@ def antichain_to_kernel(antichain: AntiChain) -> Program:
     """
     rules: list[Rule] = []
     for atom in sorted(antichain.universe):
-        rules.append(Rule(atom, (neg(bar_atom(atom)),)))
-        rules.append(Rule(bar_atom(atom), (neg(atom),)))
+        rules.append(Rule(atom, (neg(_bar_atom(atom)),)))
+        rules.append(Rule(_bar_atom(atom), (neg(atom),)))
     ordered = sorted(antichain.components, key=lambda c: (len(c), tuple(sorted(c))))
     for component in ordered:
-        body = [neg(bar_atom(a)) for a in sorted(component)]
+        body = [neg(_bar_atom(a)) for a in sorted(component)]
         body += [neg(a) for a in sorted(antichain.universe - component)]
         rules.append(Rule(MACHINE_ATOM, tuple(body)))
     rules.append(Rule(BOTTOM_ATOM, (neg(BOTTOM_ATOM), neg(MACHINE_ATOM))))
     return Program(tuple(rules))
-
-
-def project(
-    sets: Iterable[Iterable[str]], atoms: Iterable[str]
-) -> frozenset[frozenset[str]]:
-    """Intersect every member with ``atoms``, collapsing duplicates."""
-    h = frozenset(atoms)
-    return frozenset(frozenset(s) & h for s in sets)
 
 
 def equivalent_mod_projection(
@@ -155,9 +147,9 @@ def equivalent_mod_projection(
     """True iff both programs have the same answer sets projected over
     ``atoms`` (projected-set equality; multiplicity is not compared)."""
     h = frozenset(atoms)
-    return project(enumerate_answer_sets(first, max_atoms), h) == project(
-        enumerate_answer_sets(second, max_atoms), h
-    )
+    first_sets = enumerate_answer_sets(first, max_atoms)
+    second_sets = enumerate_answer_sets(second, max_atoms)
+    return {s & h for s in first_sets} == {s & h for s in second_sets}
 
 
 def kernelize(

@@ -114,16 +114,11 @@ def gamma(program: Program, atoms: Iterable[str]) -> frozenset[str]:
 
     Atoms outside the program's universe are ignored (they are false).
     Antimonotone: ``s1 <= s2`` implies ``gamma(p, s2) <= gamma(p, s1)``.
+    A set ``s`` is an answer set iff ``gamma(p, s) == s``; the result
+    lies inside ``p.atoms``, so a set with other atoms never is.
     """
     bp = _BitProgram(program.rules, program.atoms)
     return bp.to_set(bp.gamma(bp.to_mask(atoms)))
-
-
-def is_answer_set(program: Program, interpretation: Iterable[str]) -> bool:
-    """True iff the interpretation is a fixpoint of gamma; one that
-    mentions atoms outside the program never is."""
-    s = frozenset(interpretation)
-    return s <= program.atoms and gamma(program, s) == s
 
 
 @dataclass(frozen=True)

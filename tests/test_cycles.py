@@ -5,31 +5,32 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from aspnf import (
-    AND_BRIDGE,
     Bridge,
-    CycleCapExceededError,
-    OR_BRIDGE,
     Program,
     check_3kernel,
     check_kernel,
     encode_3col,
     enumerate_answer_sets,
     find_bridges,
-    find_cycles,
-    find_or_handles,
     long_rule_simplify,
     neg,
     parse_program,
     random_kernel_program,
     reconstruct,
-    simplify_and_bridge,
-    simplify_or_bridge,
     three_kernelize,
 )
 from aspnf import cycles as cycles_module
 from aspnf import normalize as normalize_module
-from aspnf.cycles import StructuralIndex
+from aspnf.cycles import (
+    AND_BRIDGE,
+    OR_BRIDGE,
+    StructuralIndex,
+    find_cycles,
+    find_or_handles,
+)
+from aspnf.errors import CycleCapExceededError
 from aspnf.generate import graph
+from aspnf.normalize import simplify_and_bridge, simplify_or_bridge
 from conftest import (
     bridged_programs,
     kernel_expansions,

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from aspnf import (
-    COLORS,
     MalformedAnswerSetError,
     check_kernel,
     decode_3col,
@@ -13,6 +12,7 @@ from aspnf import (
     graph,
     random_kernel_program,
 )
+from aspnf.generate import _COLORS
 
 
 def k_n(n: int):
@@ -29,7 +29,7 @@ def path(n: int):
 
 def proper_colorings(g):
     out = set()
-    for assignment in itertools.product(COLORS, repeat=len(g.nodes)):
+    for assignment in itertools.product(_COLORS, repeat=len(g.nodes)):
         coloring = dict(zip(g.nodes, assignment))
         if all(coloring[u] != coloring[v] for u, v in g.edges):
             out.add(tuple(sorted(coloring.items())))
@@ -66,7 +66,7 @@ def test_encode_single_node_three_colorings():
     g = graph([0], [])
     collection = enumerate_answer_sets(encode_3col(g))
     assert len(collection) == 3
-    assert {decode_3col(s, g)[0] for s in collection} == set(COLORS)
+    assert {decode_3col(s, g)[0] for s in collection} == set(_COLORS)
 
 
 def test_encode_single_edge_six_answer_sets():
@@ -91,7 +91,7 @@ def test_encode_isolated_node_not_fully_kernel():
             "every-atom-in-some-body"
         }
         assert {v.witness for v in report.violations} == {
-            f"n_color({isolated},{c})" for c in COLORS
+            f"n_color({isolated},{c})" for c in _COLORS
         }
 
 

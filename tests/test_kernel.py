@@ -5,7 +5,6 @@ from aspnf import (
     Program,
     ReservedAtomError,
     antichain_to_kernel,
-    bar_atom,
     check_kernel,
     encode_3col,
     enumerate_answer_sets,
@@ -14,10 +13,10 @@ from aspnf import (
     kernelize,
     parse_antichain,
     parse_program,
-    project,
     render_antichain,
 )
 from aspnf.kernel import (
+    _bar_atom,
     COND_ATOM_IN_BODY,
     COND_NEGATIVE_BODIES,
     COND_WFS_IRREDUCIBLE,
@@ -71,7 +70,7 @@ def test_antichain_to_kernel_two_singletons():
     assert len(program) == 7  # 4 pair rules, 2 machine rules, 1 axiom
     assert check_kernel(program).is_kernel
     answer_sets = oracle_answer_sets(program)
-    assert project(answer_sets, antichain.universe) == antichain.components
+    assert {s & antichain.universe for s in answer_sets} == antichain.components
     assert len(answer_sets) == 2
 
 
@@ -81,7 +80,7 @@ def test_antichain_to_kernel_empty_component():
     assert parse_program("__m :- not a.", allow_reserved=True).rules[0] in program.rules
     answer_sets = oracle_answer_sets(program)
     assert len(answer_sets) == 1
-    assert project(answer_sets, antichain.universe) == {frozenset()}
+    assert {s & antichain.universe for s in answer_sets} == {frozenset()}
 
 
 def test_antichain_to_kernel_no_components_is_inconsistent():
@@ -92,21 +91,37 @@ def test_antichain_to_kernel_no_components_is_inconsistent():
 
 
 def test_bar_atoms_are_reserved():
-    assert bar_atom("a") == "__bar_a"
+    assert _bar_atom("a") == "__bar_a"
 
 
 def test_project_examples():
-    assert project(
-        [{"a1", "__bar_a2", "__m"}], {"a1", "a2"}
-    ) == {frozenset({"a1"})}
-    assert project([{"a"}, {"b"}], set()) == {frozenset()}
-    assert project([], {"a"}) == frozenset()
+    # the projection inside equivalent_mod_projection drops the
+    # construction's __bar and __m atoms
+    singleton = antichain_to_kernel(
+        AntiChain(frozenset({"a1", "a2"}), frozenset({frozenset({"a1"})}))
+    )
+    assert equivalent_mod_projection(singleton, parse_program("a1."), {"a1", "a2"})
+    # {a} and {b} both project to the empty set over no atoms
+    even = parse_program("a :- not b. b :- not a.")
+    assert equivalent_mod_projection(even, parse_program("c."), set())
+    # no answer set projects to no set
+    odd = parse_program("p :- not p.")
+    assert equivalent_mod_projection(odd, parse_program("a. q :- not q."), {"a"})
 
 
 def test_project_idempotent():
-    sets = [{"a", "b"}, {"b", "c"}, {"c"}]
-    once = project(sets, {"a", "b"})
-    assert project(once, {"a", "b"}) == once
+    # projecting collapses duplicates: programs that agree over a set
+    # agree over each of its subsets, even where they differ outside it
+    def kernel(universe, components):
+        return antichain_to_kernel(
+            AntiChain(frozenset(universe), frozenset(map(frozenset, components)))
+        )
+
+    first = kernel("abc", ["ab", "bc", "ac"])
+    second = kernel("abd", ["ab", "bd", "ad"])
+    assert not equivalent_mod_projection(first, second, "abcd")
+    for atoms in ("ab", "a", "b", ""):
+        assert equivalent_mod_projection(first, second, atoms)
 
 
 def test_equivalent_mod_projection_reflexive(pi6):
@@ -122,7 +137,7 @@ def test_equivalent_mod_projection_distinguishes_consistency():
 def test_kernelize_pi6(pi6):
     result, universe = kernelize(pi6)
     assert universe == pi6.atoms
-    assert project(enumerate_answer_sets(result), universe) == {
+    assert {s & universe for s in enumerate_answer_sets(result)} == {
         frozenset({"b", "q"})
     }
     assert equivalent_mod_projection(pi6, result, universe)
@@ -133,7 +148,7 @@ def test_kernelize_empty_program():
     result, universe = kernelize(Program())
     assert universe == frozenset()
     assert [sorted(s) for s in enumerate_answer_sets(result)] == [["__m"]]
-    assert project(enumerate_answer_sets(result), universe) == {frozenset()}
+    assert {s & universe for s in enumerate_answer_sets(result)} == {frozenset()}
     # the degenerate machine fact is reported, not repaired
     assert not check_kernel(result).is_kernel
 
@@ -155,7 +170,7 @@ def test_theorem_roundtrip_small_universes():
             program = antichain_to_kernel(antichain)
             answer_sets = enumerate_answer_sets(program)
             assert len(answer_sets) == len(components)
-            assert project(answer_sets, universe) == components
+            assert {s & universe for s in answer_sets} == components
             if components and not (size == 0):
                 assert check_kernel(program).is_kernel
 
@@ -168,7 +183,7 @@ def test_theorem_roundtrip_five_atom_universe():
         antichain = AntiChain(universe, components)
         answer_sets = enumerate_answer_sets(antichain_to_kernel(antichain))
         assert len(answer_sets) == len(components)
-        assert project(answer_sets, universe) == components
+        assert {s & universe for s in answer_sets} == components
         count += 1
     assert count == 7581
 

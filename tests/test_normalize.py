@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aspnf import (
-    BridgeNotFoundError,
     KernelFormError,
     ReconstructionError,
     TransformTrace,
@@ -14,18 +13,22 @@ from aspnf import (
     enumerate_answer_sets,
     equivalent_mod_projection,
     find_bridges,
-    is_reserved,
     long_rule_simplify,
     parse_program,
     random_kernel_program,
     reconstruct,
     render_program,
-    simplify_and_bridge,
-    simplify_or_bridge,
     three_kernelize,
     trace_to_dict,
 )
-from aspnf.normalize import NOTE_CONSTRAINT_GUARD, NOTE_REROUTES_CYCLE
+from aspnf.errors import BridgeNotFoundError
+from aspnf.model import is_reserved
+from aspnf.normalize import (
+    NOTE_CONSTRAINT_GUARD,
+    NOTE_REROUTES_CYCLE,
+    simplify_and_bridge,
+    simplify_or_bridge,
+)
 from conftest import PI5_TEXT, oracle_answer_sets, rename_atoms
 
 PI5_SIMPLIFIED_TEXT = """
