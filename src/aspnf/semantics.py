@@ -6,12 +6,15 @@ reduct of ``p`` with respect to ``s``; ``s`` is an answer set iff
 monotone, and the well-founded model is its alternating fixpoint (Van
 Gelder, 1993).
 
-There is one gamma, ``_BitProgram.gamma``, over the program compiled to
-bitmasks, and one alternating-fixpoint loop, ``_tighten``, which
-narrows an interval ``[lower, upper]`` of the subset lattice. The
-well-founded model is a linear closure over the rules, which that loop
-narrows further only when the closure leaves an atom undefined and some
-rule has a positive body literal (``well_founded``).
+One pass over a program's rules compiles it into a ``_BitProgram``,
+under one rule numbering: the bitmasks that the one gamma,
+``_BitProgram.gamma``, reads, and the counters and occurrence lists
+that the search's completion reads. There is one alternating-fixpoint
+loop, ``_tighten``, which narrows an interval ``[lower, upper]`` of the
+subset lattice. The well-founded model is a linear closure over the
+rules, keyed by atom name, which that loop narrows further only when
+the closure leaves an atom undefined and some rule has a positive body
+literal (``well_founded``).
 
 Interpretations are plain ``frozenset`` values of atom names.
 
@@ -52,15 +55,15 @@ same fixpoint, or a conflict: each node gets the interval a rescan of
 every atom would give, and the search visits the same nodes in order.
 
 Rules with an atom both positive and negative in their body are never
-true and take no part. The completion is too strong for the
-well-founded model (on ``q :- not q. q :- not a.`` it makes ``q`` true,
-which that model leaves undefined); the closure of ``well_founded``
-draws only the first sentence of inference 1, and inference 3 for
-bodies that hold outright. At a leaf of a program with positive body
-literals the search keeps ``lower`` iff ``gamma(lower) == lower``, so
-the result is exact whatever the propagation prunes; the tests
-cross-check it, and the well-founded model, against independent
-implementations.
+true: the search starts them blocked, though gamma reads them. The
+completion is too strong for the well-founded model (on ``q :- not q.
+q :- not a.`` it makes ``q`` true, which that model leaves undefined);
+the closure of ``well_founded`` draws only the first sentence of
+inference 1, and inference 3 for bodies that hold outright. At a leaf
+of a program with positive body literals the search keeps ``lower``
+iff ``gamma(lower) == lower``, so the result is exact whatever the
+propagation prunes; the tests cross-check it, and the well-founded
+model, against independent implementations.
 
 Without positive body literals the completion subsumes the gamma
 fixpoint, so the search skips it. ``gamma(s)`` is then the heads of
@@ -247,24 +250,39 @@ def _closure(program: Program) -> tuple[set[str], set[str]]:
 
 
 class _BitProgram:
-    """Rules compiled to bitmasks over the given atoms (which must hold
-    every atom of the rules), one bit per atom. For programs without
-    positive body literals the reduct consists of facts only, so gamma
-    collapses to a single pass.
+    """A component's rules compiled by one pass, under one rule
+    numbering, over the given atoms (which must hold every atom of the
+    rules): one position and one bit per atom.
 
     Low bits are assigned to non-reserved atoms so that the search
     branches on them first: values of transformation-generated atoms
     (``__`` prefix) are usually forced by propagation once the original
-    atoms are decided."""
+    atoms are decided.
+
+    ``rules`` holds ``(head, pos, neg)`` masks for gamma, which collapses
+    to one pass without positive body literals (the reduct is then facts
+    only). The rest serves the completion of the module docstring.
+    ``heads`` and ``bodies`` hold each rule by position, its literals as
+    ``(atom, value that holds it)``; ``rules_of`` each atom's rules; and
+    ``watch[value][atom]`` the rules where the atom's literal holds under
+    that value, and where it fails. A search state ``(value, live,
+    unmet)`` holds each atom's value (0 while undecided) and number of
+    unblocked rules, and each rule's number of literals that do not hold
+    yet (-1 once blocked). A rule with an atom both positive and
+    negative starts blocked and is in no ``rules_of``. ``initial`` is
+    what the rules decide alone: atoms without rules are false; rules
+    with no literal, or only ``not head``, fire inference 3."""
 
     def __init__(self, rules: Iterable[Rule], atoms: Iterable[str]):
         self.atoms = tuple(sorted(atoms, key=lambda a: (is_reserved(a), a)))
         self.index = index = {atom: i for i, atom in enumerate(self.atoms)}
         self.full = (1 << len(self.atoms)) - 1
-        # Each rule as ``(head, pos, neg)`` masks, and by atom position as
-        # its head and its body literals' ``(atom, value that holds it)``.
-        self.rules, self.bodies = [], []
-        for rule in rules:
+        positions = range(len(self.atoms))
+        self.rules, self.heads, self.bodies, self.self_negating = [], [], [], []
+        self.unmet, self.initial = [], []  # ``unmet`` of the root state
+        self.rules_of = [[] for _ in positions]
+        positive, negative = [[] for _ in positions], [[] for _ in positions]
+        for r, rule in enumerate(rules):
             pos_mask = neg_mask = 0
             body = []
             for atom, negated in rule.body:
@@ -272,12 +290,25 @@ class _BitProgram:
                 if negated:
                     neg_mask |= 1 << i
                     body.append((i, _FALSE))
+                    negative[i].append(r)
                 else:
                     pos_mask |= 1 << i
                     body.append((i, _TRUE))
+                    positive[i].append(r)
             head = index[rule.head]
             self.rules.append((1 << head, pos_mask, neg_mask))
-            self.bodies.append((head, body))
+            self.heads.append(head)
+            self.bodies.append(body)
+            self.self_negating.append((rule.head, True) in rule.body)
+            if pos_mask & neg_mask:
+                self.unmet.append(-1)
+                continue
+            self.unmet.append(len(body))
+            self.rules_of[head].append(r)
+            if len(body) <= self.self_negating[r]:
+                self.initial.append((head, _TRUE))
+        self.initial += [(a, _FALSE) for a in positions if not self.rules_of[a]]
+        self.watch = None, list(zip(positive, negative)), list(zip(negative, positive))
         self.negative_only = all(p == 0 for _, p, _ in self.rules)
 
     def gamma(self, s: int) -> int:
@@ -310,79 +341,10 @@ class _BitProgram:
         digits = bin(mask)[:1:-1].encode()  # lowest bit first
         return frozenset(compress(self.atoms, digits.translate(_SELECT)))
 
-
-def _tighten(
-    bp: _BitProgram, lower: int, upper: int, rounds: list[int] | None = None
-) -> tuple[int, int] | None:
-    """Narrow ``[lower, upper]`` by the alternating fixpoint of gamma;
-    None when the interval holds no answer set. ``rounds``, when given,
-    is a one-item list that each pass increments.
-
-    Sound by antimonotonicity: any answer set S in the interval
-    satisfies gamma(upper) <= S (since S <= upper) and S <= gamma(lower)
-    (since lower <= S).
-    """
-    while True:
-        if rounds is not None:
-            rounds[0] += 1
-        tightened_lower = lower | bp.gamma(upper)
-        if tightened_lower & ~upper:
-            return None
-        tightened_upper = upper & bp.gamma(tightened_lower)
-        if tightened_lower & ~tightened_upper:
-            return None
-        if tightened_lower == lower and tightened_upper == upper:
-            return lower, upper
-        lower, upper = tightened_lower, tightened_upper
-
-
-_LOWER = bytes.maketrans(b"\0\1\2", b"010")
-_UPPER = bytes.maketrans(b"\0\1\2", b"110")
-_SELECT = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bounds(value: bytearray) -> tuple[int, int]:
-    """``lower`` and ``upper`` of the interval that atom values give."""
-    digits = b"0" + value[::-1]
-    return int(digits.translate(_LOWER), 2), int(digits.translate(_UPPER), 2)
-
-
-class _Propagator:
-    """The completion of the module docstring, drawn by counters over
-    the rules of ``bp`` that can fire. A state ``(value, live, unmet)``
-    holds each atom's value (0 while undecided) and number of unblocked
-    rules, and each rule's number of literals that do not hold yet (-1
-    once blocked). ``initial`` is what the rules decide alone: atoms
-    without rules are false; rules with no literal, or only ``not
-    head``, fire inference 3."""
-
-    def __init__(self, bp: _BitProgram):
-        self.bp = bp
-        atoms = range(len(bp.atoms))
-        self.heads, self.bodies, self.self_negating, self.initial = [], [], [], []
-        self.rules_of = [[] for _ in atoms]
-        # Per value and atom: the rules where the atom's literal holds
-        # under that value, and where it fails.
-        self.watch = None, [([], []) for _ in atoms], [([], []) for _ in atoms]
-        for (head, pos_mask, neg_mask), (h, body) in zip(bp.rules, bp.bodies):
-            if pos_mask & neg_mask:
-                continue
-            r = len(self.heads)
-            for a, way in body:
-                self.watch[way][a][0].append(r)
-                self.watch[_TRUE + _FALSE - way][a][1].append(r)
-            self.rules_of[h].append(r)
-            self.heads.append(h)
-            self.bodies.append(body)
-            self.self_negating.append(bool(head & neg_mask))
-            if len(body) <= self.self_negating[r]:
-                self.initial.append((h, _TRUE))
-        self.initial += [(a, _FALSE) for a in atoms if not self.rules_of[a]]
-
     def root(self) -> tuple:
-        """The state of the full interval, before ``initial``."""
+        """The search state of the full interval, before ``initial``."""
         live = [len(rules) for rules in self.rules_of]
-        return bytearray(len(live)), live, [len(body) for body in self.bodies]
+        return bytearray(len(live)), live, self.unmet.copy()
 
     def propagate(self, state: tuple, decided: Iterable[tuple[int, int]]) -> bool:
         """Decide each ``(atom, value)`` of ``decided`` in ``state``, then
@@ -459,10 +421,10 @@ class _Propagator:
                     for r in rules_of[atom]:
                         if not unmet[r] or unmet[r] == 1 and not refute(r):
                             return False
-            if self.bp.negative_only:
+            if self.negative_only:
                 return True
             lower, upper = _bounds(value)
-            bounds = _tighten(self.bp, lower, upper)
+            bounds = _tighten(self, lower, upper)
             if bounds is None:
                 return False
             if bounds == (lower, upper):
@@ -474,19 +436,54 @@ class _Propagator:
                 value[atom] = _TRUE if lower >> atom & 1 else _FALSE
 
 
+def _tighten(
+    bp: _BitProgram, lower: int, upper: int, rounds: list[int] | None = None
+) -> tuple[int, int] | None:
+    """Narrow ``[lower, upper]`` by the alternating fixpoint of gamma;
+    None when the interval holds no answer set. ``rounds``, when given,
+    is a one-item list that each pass increments.
+
+    Sound by antimonotonicity: any answer set S in the interval
+    satisfies gamma(upper) <= S (since S <= upper) and S <= gamma(lower)
+    (since lower <= S).
+    """
+    while True:
+        if rounds is not None:
+            rounds[0] += 1
+        tightened_lower = lower | bp.gamma(upper)
+        if tightened_lower & ~upper:
+            return None
+        tightened_upper = upper & bp.gamma(tightened_lower)
+        if tightened_lower & ~tightened_upper:
+            return None
+        if tightened_lower == lower and tightened_upper == upper:
+            return lower, upper
+        lower, upper = tightened_lower, tightened_upper
+
+
+_LOWER = bytes.maketrans(b"\0\1\2", b"010")
+_UPPER = bytes.maketrans(b"\0\1\2", b"110")
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bounds(value: bytearray) -> tuple[int, int]:
+    """``lower`` and ``upper`` of the interval that atom values give."""
+    digits = b"0" + value[::-1]
+    return int(digits.translate(_LOWER), 2), int(digits.translate(_UPPER), 2)
+
+
 def _search(bp: _BitProgram) -> tuple[list[int], int, int]:
     """Bound-and-branch over intervals of the subset lattice: the answer
     sets, and the numbers of search nodes and of conflicts (nodes that
     hold no answer set). The true child, popped first, propagates a copy
     of its parent's state, and the false child the state itself."""
-    propagator = _Propagator(bp)
     found: list[int] = []
     nodes = conflicts = 0
-    pending = [(propagator.root(), propagator.initial)]
+    pending = [(bp.root(), bp.initial)]
     while pending:
         nodes += 1
         state, decided = pending.pop()
-        if not propagator.propagate(state, decided):
+        if not bp.propagate(state, decided):
             conflicts += 1
             continue
         value, live, unmet = state
