@@ -155,17 +155,22 @@ def equivalent_mod_projection(
 def kernelize(
     program: Program, max_atoms: int | None = None
 ) -> tuple[Program, frozenset[str]]:
-    """Equivalent kernel program plus the original universe.
+    """Equivalent kernel program plus the universe it is equivalent over.
 
     Enumerates the program's answer sets (they form an anti-chain over
-    its atoms) and applies ``antichain_to_kernel``. The result is
-    equivalent to the input modulo projection over the returned
-    universe. An inconsistent input gives the empty anti-chain, and so
-    a program outside kernel form (``__m`` has no rule).
+    its atoms) and applies ``antichain_to_kernel``. The universe is the
+    program's atoms less the reserved ones that no answer set contains,
+    such as the guards of ``:-`` constraints, so the projection drops no
+    atom of an answer set. The result is equivalent to the input modulo
+    projection over that universe. A reserved atom in some answer set
+    raises :class:`ReservedAtomError`. An inconsistent input gives the
+    empty anti-chain, and so a program outside kernel form (``__m`` has
+    no rule).
     """
     answer_sets = enumerate_answer_sets(program, max_atoms)
-    antichain = AntiChain(program.atoms, frozenset(answer_sets))
-    return antichain_to_kernel(antichain), program.atoms
+    used = frozenset().union(*answer_sets)
+    universe = frozenset(a for a in program.atoms if not is_reserved(a) or a in used)
+    return antichain_to_kernel(AntiChain(universe, frozenset(answer_sets))), universe
 
 
 def render_antichain(antichain: AntiChain) -> str:

@@ -9,12 +9,12 @@ Gelder, 1993).
 One pass over a program's rules compiles it into a ``_BitProgram``,
 under one rule numbering: the bitmasks that the one gamma,
 ``_BitProgram.gamma``, reads, and the counters and occurrence lists
-that the search's completion reads. There is one alternating-fixpoint
-loop, ``_tighten``, which narrows an interval ``[lower, upper]`` of the
-subset lattice. The well-founded model is a linear closure over the
-rules, keyed by atom name, which that loop narrows further only when
-the closure leaves an atom undefined and some rule has a positive body
-literal (``well_founded``).
+that the search's completion reads. The search's one
+alternating-fixpoint loop, ``_tighten``, narrows an interval ``[lower,
+upper]`` of the subset lattice. The well-founded model compiles
+nothing: it is one closure over the rules, keyed by atom name, that
+draws immediate consequences and greatest unfounded sets
+(``_closure``).
 
 Interpretations are plain ``frozenset`` values of atom names.
 
@@ -58,10 +58,11 @@ Rules with an atom both positive and negative in their body are never
 true: the search starts them blocked, though gamma reads them. The
 completion is too strong for the well-founded model (on ``q :- not q.
 q :- not a.`` it makes ``q`` true, which that model leaves undefined);
-the closure of ``well_founded`` draws only the first sentence of
-inference 1, and inference 3 for bodies that hold outright. At a leaf
-of a program with positive body literals the search keeps ``lower``
-iff ``gamma(lower) == lower``, so the result is exact whatever the
+the closure of ``well_founded`` draws only inference 3 for bodies that
+hold outright, and greatest unfounded sets, which hold the atoms that
+the first sentence of inference 1 makes false. At a leaf of a program
+with positive body literals the search keeps ``lower`` iff
+``gamma(lower) == lower``, so the result is exact whatever the
 propagation prunes; the tests cross-check it, and the well-founded
 model, against independent implementations.
 
@@ -90,8 +91,8 @@ After each enumeration the ``aspnf`` logger gets one debug record whose
 arguments are a dict of atoms, rules, components, search nodes,
 conflicts (nodes that hold no answer set) and answers, summed over the
 components. After each well-founded model it gets one whose dict holds
-atoms, rules, the atoms the closure decided and the ``_tighten``
-rounds run.
+atoms, rules, the atoms the model decides and the unfounded-set rounds
+run.
 """
 
 from __future__ import annotations
@@ -137,87 +138,64 @@ def well_founded(program: Program) -> WfsResult:
     """Well-founded model (Van Gelder, Ross and Schlipf, 1991).
 
     Every answer set contains all true atoms and avoids all false ones.
-
-    A linear closure (``_closure``) first draws two inferences until
-    neither applies: an atom with no live rule is false, and a rule
-    whose literals all hold makes its head true. A rule dies when one of
-    its literals turns false. This is the reduction of Brass, Dix,
-    Freitag and Zukowski (2001): delete rules with a false body literal,
-    drop true literals. Its result is Fitting's (1985) model.
-
-    When no rule has a positive body literal, the closure is the
-    well-founded model. A set U of atoms is unfounded when every rule
-    with its head in U has a false literal or a positive body atom in
-    U. Without positive body literals only the first case is left, so
-    the greatest unfounded set is the set of atoms whose rules each have
-    a false literal, which the first inference makes false. The second
-    inference is the immediate consequence step of the well-founded
-    operator. Both drawn to a fixpoint give its least fixpoint.
-
-    Otherwise, unless the closure decided every atom, its bounds seed
-    ``_tighten``. Both inferences are sound for the well-founded model,
-    so the closure's interval lies between the root interval and the
-    well-founded one in the knowledge order (lower bounds grow, upper
-    bounds shrink). Both steps of ``_tighten`` are monotone in that
-    order and fix the well-founded interval, so each pass from the
-    closure's bounds lies between the same pass from the root and that
-    interval, which the passes from the root reach.
-    No interval lies strictly above a total one, so when the closure
-    decides every atom it is the model, and nothing is compiled.
-
-    Without facts and atoms that have no rule, the closure decides
-    nothing and builds no occurrence index.
+    The model is the least fixpoint of two steps: immediate consequence,
+    and making the greatest unfounded set false. A set U of atoms is
+    unfounded when every rule with its head in U has a false literal or
+    a positive body atom in U. ``_closure`` draws both steps until
+    neither decides an atom. Each step is sound, so the closure lies
+    below the model, and a fixpoint of both steps that lies below the
+    least one is the least one.
 
     One debug record on the ``aspnf`` logger gives the atoms, rules,
-    atoms the closure decided and ``_tighten`` rounds run.
+    atoms the model decides and unfounded-set rounds run.
     """
-    true_atoms, false_atoms = _closure(program)
-    decided = len(true_atoms) + len(false_atoms)
-    rounds = [0]
-    if decided < len(program.atoms) and not all(
-        lit.negated for rule in program.rules for lit in rule.body
-    ):
-        bp = _BitProgram(program.rules, program.atoms)
-        bounds = _tighten(
-            bp, bp.to_mask(true_atoms), bp.full & ~bp.to_mask(false_atoms), rounds
-        )
-        assert bounds is not None, "the well-founded model is consistent"
-        lower, upper = bounds
-        true_atoms, false_atoms = bp.to_set(lower), bp.to_set(bp.full & ~upper)
+    true_atoms, false_atoms, rounds = _closure(program)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "well_founded: %(atoms)d atoms, %(rules)d rules, "
-            "%(decided)d decided by the closure, %(rounds)d tighten rounds",
+            "%(decided)d decided, %(rounds)d unfounded-set rounds",
             {
                 "atoms": len(program.atoms),
                 "rules": len(program.rules),
-                "decided": decided,
-                "rounds": rounds[0],
+                "decided": len(true_atoms) + len(false_atoms),
+                "rounds": rounds,
             },
         )
     undefined = program.atoms - true_atoms - false_atoms
     return WfsResult(frozenset(true_atoms), frozenset(false_atoms), undefined)
 
 
-def _closure(program: Program) -> tuple[set[str], set[str]]:
-    """The true and false atoms of the closure of ``well_founded``.
+def _closure(program: Program) -> tuple[set[str], set[str], int]:
+    """The true and false atoms of the well-founded model, and the
+    number of unfounded-set rounds run.
 
     Each rule counts its literals that do not hold yet, and each atom its
-    live rules. Each atom is decided and queued at most once, and when
-    it is taken from the queue each of its body occurrences is visited
-    once: the literal either holds, and its rule's count drops, or is
-    false, and its rule dies. A rule whose count reaches 0 has no false
-    literal, so it never dies, and its head never loses its last live
-    rule. Atoms with no rule and heads of facts start the queue; without
-    them it returns before building the occurrence index, as on every
-    program in kernel form."""
+    live rules. A rule dies when one of its literals turns false, and an
+    atom with no live rule is false; a rule whose literals all hold
+    makes its head true. Each atom is decided and queued at most once,
+    and when it is taken from the queue each of its body occurrences is
+    visited once: the literal either holds, and its rule's count drops,
+    or is false, and its rule dies. Atoms with no rule and heads of
+    facts start the queue.
+
+    Without positive body literals the atoms whose rules all died are
+    the greatest unfounded set, so the drained queue is the model, and
+    without facts and atoms that have no rule it returns before building
+    the occurrence index, as on every program in kernel form. Otherwise,
+    while some atom is undecided, a round finds the atoms that some
+    live rule can still derive, reading undecided negative literals as
+    true: each live rule counts its undecided positive body atoms, a
+    rule whose count is 0 derives its head, and each derived atom lowers
+    the counts over its ``positive`` list. The undecided atoms left
+    underived are the greatest unfounded set; they are false and start
+    the queue again."""
     rules = program.rules
     heads = [rule.head for rule in rules]
     live = Counter(heads)
     value = dict.fromkeys(program.atoms - live.keys(), False)
     value.update((rule.head, True) for rule in rules if not rule.body)
-    if not value:
-        return set(), set()
+    if not value and all(negated for rule in rules for _, negated in rule.body):
+        return set(), set(), 0
     pending = [len(rule.body) for rule in rules]
     positive: dict[str, list[int]] = {}
     negative: dict[str, list[int]] = {}
@@ -226,27 +204,51 @@ def _closure(program: Program) -> tuple[set[str], set[str]]:
             (negative if negated else positive).setdefault(atom, []).append(r)
     queue = list(value)
     dead = bytearray(len(rules))
-    # The queue grows while it is read; each atom is appended once.
-    for atom in queue:
-        if value[atom]:
-            holding, failing = positive.get(atom, ()), negative.get(atom, ())
-        else:
-            holding, failing = negative.get(atom, ()), positive.get(atom, ())
-        for r in failing:
-            if not dead[r]:
-                dead[r] = 1
+    rounds = 0
+    while True:
+        # The queue grows while it is read; each atom is appended once.
+        for atom in queue:
+            if value[atom]:
+                holding, failing = positive.get(atom, ()), negative.get(atom, ())
+            else:
+                holding, failing = negative.get(atom, ()), positive.get(atom, ())
+            for r in failing:
+                if not dead[r]:
+                    dead[r] = 1
+                    head = heads[r]
+                    live[head] -= 1
+                    if not live[head] and head not in value:
+                        value[head] = False
+                        queue.append(head)
+            for r in holding:
+                pending[r] -= 1
+                if not pending[r] and heads[r] not in value:
+                    value[heads[r]] = True
+                    queue.append(heads[r])
+        if not positive or len(value) == len(program.atoms):
+            break
+        rounds += 1
+        need = list(dead)  # so that no dead rule's count reaches 0
+        for atom, occurrences in positive.items():
+            if atom not in value:
+                for r in occurrences:
+                    need[r] += 1
+        derived = {h for h, n in zip(heads, need) if not (n or h in value)}
+        # The list grows while it is read; each atom is appended once.
+        reached = list(derived)
+        for atom in reached:
+            for r in positive.get(atom, ()):
+                need[r] -= 1
                 head = heads[r]
-                live[head] -= 1
-                if not live[head] and head not in value:
-                    value[head] = False
-                    queue.append(head)
-        for r in holding:
-            pending[r] -= 1
-            if not pending[r] and heads[r] not in value:
-                value[heads[r]] = True
-                queue.append(heads[r])
+                if not (need[r] or head in value or head in derived):
+                    derived.add(head)
+                    reached.append(head)
+        queue = list(program.atoms - value.keys() - derived)
+        if not queue:
+            break
+        value.update(dict.fromkeys(queue, False))
     true_atoms = {atom for atom, holds in value.items() if holds}
-    return true_atoms, value.keys() - true_atoms
+    return true_atoms, value.keys() - true_atoms, rounds
 
 
 class _BitProgram:
@@ -259,11 +261,10 @@ class _BitProgram:
     (``__`` prefix) are usually forced by propagation once the original
     atoms are decided.
 
-    ``rules`` holds ``(head, pos, neg)`` masks for gamma, which collapses
-    to one pass without positive body literals (the reduct is then facts
-    only). The rest serves the completion of the module docstring.
-    ``heads`` and ``bodies`` hold each rule by position, its literals as
-    ``(atom, value that holds it)``; ``rules_of`` each atom's rules; and
+    ``rules`` holds ``(head, pos, neg)`` masks for gamma. The rest
+    serves the completion of the module docstring. ``heads`` and
+    ``bodies`` hold each rule by position, its literals as ``(atom,
+    value that holds it)``; ``rules_of`` each atom's rules; and
     ``watch[value][atom]`` the rules where the atom's literal holds under
     that value, and where it fails. A search state ``(value, live,
     unmet)`` holds each atom's value (0 while undecided) and number of
@@ -276,7 +277,6 @@ class _BitProgram:
     def __init__(self, rules: Iterable[Rule], atoms: Iterable[str]):
         self.atoms = tuple(sorted(atoms, key=lambda a: (is_reserved(a), a)))
         self.index = index = {atom: i for i, atom in enumerate(self.atoms)}
-        self.full = (1 << len(self.atoms)) - 1
         positions = range(len(self.atoms))
         self.rules, self.heads, self.bodies, self.self_negating = [], [], [], []
         self.unmet, self.initial = [], []  # ``unmet`` of the root state
@@ -312,12 +312,6 @@ class _BitProgram:
         self.negative_only = all(p == 0 for _, p, _ in self.rules)
 
     def gamma(self, s: int) -> int:
-        if self.negative_only:
-            acc = 0
-            for head, _pos, neg_mask in self.rules:
-                if not neg_mask & s:
-                    acc |= head
-            return acc
         active = [(h, p) for h, p, n in self.rules if not n & s]
         derived = 0
         while True:
@@ -436,20 +430,15 @@ class _BitProgram:
                 value[atom] = _TRUE if lower >> atom & 1 else _FALSE
 
 
-def _tighten(
-    bp: _BitProgram, lower: int, upper: int, rounds: list[int] | None = None
-) -> tuple[int, int] | None:
+def _tighten(bp: _BitProgram, lower: int, upper: int) -> tuple[int, int] | None:
     """Narrow ``[lower, upper]`` by the alternating fixpoint of gamma;
-    None when the interval holds no answer set. ``rounds``, when given,
-    is a one-item list that each pass increments.
+    None when the interval holds no answer set.
 
     Sound by antimonotonicity: any answer set S in the interval
     satisfies gamma(upper) <= S (since S <= upper) and S <= gamma(lower)
     (since lower <= S).
     """
     while True:
-        if rounds is not None:
-            rounds[0] += 1
         tightened_lower = lower | bp.gamma(upper)
         if tightened_lower & ~upper:
             return None

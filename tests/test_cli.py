@@ -13,6 +13,7 @@ from hypothesis import assume, given, strategies as st
 
 from aspnf import (
     check_kernel,
+    equivalent_mod_projection,
     parse_program,
     random_kernel_program,
     render_program,
@@ -131,6 +132,19 @@ def test_kernelize_prints_universe_header(pi6_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "% universe: a, b, p, q"
     assert lines[1] == "a :- not __bar_a."
+
+
+def test_kernelize_accepts_constraints(tmp_path, capsys):
+    # The constraint's guard atom is false in every answer set, so it
+    # is left out of the universe rather than refused.
+    path = tmp_path / "constrained.lp"
+    path.write_text("a :- not b. b :- not a. :- a.\n")
+    assert main(["kernelize", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "% universe: a, b"
+    result = parse_program(out, allow_reserved=True)
+    original = parse_program(path.read_text())
+    assert equivalent_mod_projection(original, result, {"a", "b"})
 
 
 def test_antichain2kernel(tmp_path, capsys):

@@ -14,6 +14,7 @@ from aspnf import (
     parse_antichain,
     parse_program,
     render_antichain,
+    render_program,
 )
 from aspnf.kernel import (
     _bar_atom,
@@ -198,6 +199,26 @@ def test_kernelize_random_programs_equivalent():
         program = random_general_program(rng, rng.randint(1, 6), rng.randint(1, 8))
         result, universe = kernelize(program)
         assert equivalent_mod_projection(program, result, universe, max_atoms=64)
+
+
+def test_kernelize_drops_constraint_guards():
+    # A ``:-`` guard is false in every answer set, so it leaves the
+    # universe and the projection keeps every answer set whole; a
+    # reserved atom that some answer set holds is still refused.
+    import random
+
+    from conftest import random_general_program
+
+    rng = random.Random(322)
+    for _ in range(20):
+        program = random_general_program(rng, rng.randint(2, 6), rng.randint(1, 8))
+        text = render_program(program) + ":- x0, not x1.\n"
+        constrained = parse_program(text)
+        result, universe = kernelize(constrained)
+        assert universe == program.atoms | {"x0", "x1"}
+        assert equivalent_mod_projection(constrained, result, universe, max_atoms=64)
+    with pytest.raises(ReservedAtomError):
+        kernelize(parse_program("__y :- not z. z :- not __y.", allow_reserved=True))
 
 
 def test_antichain_render_parse_roundtrip():

@@ -1,7 +1,7 @@
 """The answer-set search and the well-founded model: exact against the
 independent oracles on generated programs, the search's counter
-propagation, the well-founded closure that compiles nothing when it
-decides every atom, and the debug records of both."""
+propagation, the well-founded closure, which compiles nothing, and the
+debug records of both."""
 
 import logging
 from unittest import mock
@@ -41,6 +41,20 @@ from conftest import (
 # ``p``'s rule is never true, so the search starts it blocked, yet gamma
 # keeps it: the well-founded model leaves ``p`` undefined.
 SELF_CONTRADICTORY = parse_program("a :- not b. b :- not a. p :- a, not a.")
+# ``c`` and ``d`` form an unfounded loop above an even cycle that stays
+# undefined.
+LOOP_ABOVE_EVEN_CYCLE = parse_program(
+    "a :- not b. b :- not a. c :- a, d. d :- c."
+)
+# Each loop p{k}, q{k} is unfounded only once the loop below it is
+# false: p{k-1} false makes t{k} true, which kills ``q{k} :- not t{k}``.
+STACKED_LOOPS = parse_program(
+    "p0 :- q0. q0 :- p0. "
+    + "".join(
+        f"p{k} :- q{k}. q{k} :- p{k}. q{k} :- not t{k}. t{k} :- not p{k - 1}. "
+        for k in (1, 2)
+    )
+)
 
 
 @given(programs())
@@ -51,6 +65,9 @@ def test_enumeration_matches_oracle(program):
 
 @given(programs())
 @example(SELF_CONTRADICTORY)
+@example(parse_program("a :- a."))
+@example(LOOP_ABOVE_EVEN_CYCLE)
+@example(STACKED_LOOPS)
 def test_well_founded_matches_oracle(program):
     assert well_founded(program) == oracle_well_founded(program)
 
@@ -72,19 +89,39 @@ def test_chain_model_is_the_well_founded_model():
             assert chain_model(n, fact) == oracle_well_founded(negative_chain(n, fact))
 
 
-def test_well_founded_without_positive_bodies_compiles_nothing(monkeypatch, pi6):
-    # The closure alone gives the model, so neither the alternating
-    # fixpoint nor gamma runs; a 20,000-atom chain finishes because the
-    # closure is linear.
-    def refuse(*args, **kwargs):
-        raise AssertionError("the alternating fixpoint ran")
+def _positive_ladder(n):
+    """``a{k} :- a{k+1}, not b{k}. b{k} :- not a{k}.`` for k < ``n``:
+    positive bodies, yet the closure decides every atom without an
+    unfounded-set round."""
+    text = "".join(
+        f"a{k} :- a{k + 1}, not b{k}. b{k} :- not a{k}. " for k in range(n)
+    )
+    return parse_program(text)
 
-    monkeypatch.setattr(semantics, "_tighten", refuse)
-    monkeypatch.setattr(semantics._BitProgram, "gamma", refuse)
-    assert well_founded(negative_chain(20_000)) == chain_model(20_000)
-    c5 = encode_3col(graph(range(5), _cycle(list(range(5)))))
-    for program in (pi6, c5):
-        assert well_founded(program) == oracle_well_founded(program)
+
+def _ladder_model(n):
+    return WfsResult(
+        frozenset(f"b{k}" for k in range(n)),
+        frozenset(f"a{k}" for k in range(n + 1)),
+        frozenset(),
+    )
+
+
+def refuse_to_compile(*args, **kwargs):
+    raise AssertionError("the well-founded model compiled the program")
+
+
+@given(programs().map(lambda program: (program, oracle_well_founded(program))))
+@example((negative_chain(20_000), chain_model(20_000)))
+@example((_positive_ladder(300), _ladder_model(300)))
+def test_well_founded_compiles_nothing(case):
+    # The closure is the whole model: no ``_BitProgram``, so no gamma,
+    # and no alternating fixpoint. A 20,000-link chain and a 300-step
+    # ladder finish because the closure is linear on them.
+    program, expected = case
+    with mock.patch.object(_BitProgram, "__init__", refuse_to_compile):
+        with mock.patch.object(semantics, "_tighten", refuse_to_compile):
+            assert well_founded(program) == expected
 
 
 def test_well_founded_without_seeds_builds_no_occurrence_index(
@@ -106,8 +143,8 @@ def test_well_founded_without_seeds_builds_no_occurrence_index(
 
 
 def test_well_founded_of_positive_loops(caplog):
-    # The closure has nothing to start from here; the alternating
-    # fixpoint, run from the root interval, finds the unfounded loops.
+    # No fact and no atom without a rule: the closure starts from one
+    # unfounded-set round, which finds the loops.
     assert well_founded(parse_program("a :- a.")) == WfsResult(
         frozenset(), frozenset({"a"}), frozenset()
     )
@@ -115,14 +152,15 @@ def test_well_founded_of_positive_loops(caplog):
     assert well_founded(loop) == WfsResult(
         frozenset({"c"}), frozenset({"a", "b"}), frozenset()
     )
-    stats = _wfs_stats(caplog, loop)
-    assert stats["decided"] == 0 and stats["rounds"] > 0, stats
+    assert _wfs_stats(caplog, loop) == {
+        "atoms": 3, "rules": 3, "decided": 3, "rounds": 1
+    }
 
 
 def test_well_founded_of_a_chain_into_a_positive_loop(caplog):
-    # x0 :- not x1. x1 :- not x2. x2 :- x3. x3 :- x2. The closure leaves
-    # every atom undefined; the alternating fixpoint finds the unfounded
-    # loop and the chain above it.
+    # x0 :- not x1. x1 :- not x2. x2 :- x3. x3 :- x2. One round finds
+    # the unfounded loop, and the closure then decides the chain above
+    # it.
     rules = list(negative_chain(3, fact=False).rules)
     rules += [Rule("x2", (pos("x3"),)), Rule("x3", (pos("x2"),))]
     program = Program(tuple(rules))
@@ -130,42 +168,9 @@ def test_well_founded_of_a_chain_into_a_positive_loop(caplog):
         frozenset({"x1"}), frozenset({"x0", "x2", "x3"}), frozenset()
     )
     assert well_founded(program) == expected == oracle_well_founded(program)
-    stats = _wfs_stats(caplog, program)
-    assert stats["decided"] == 0 and stats["rounds"] > 0, stats
-
-
-def _positive_ladder(n):
-    """``a{k} :- a{k+1}, not b{k}. b{k} :- not a{k}.`` for k < ``n``:
-    positive bodies, yet the closure decides every atom."""
-    text = "".join(
-        f"a{k} :- a{k + 1}, not b{k}. b{k} :- not a{k}. " for k in range(n)
-    )
-    return parse_program(text)
-
-
-def test_well_founded_skips_the_fallback_when_the_closure_is_total(
-    monkeypatch, caplog
-):
-    # a300 has no rule, so it is false, and each a{k} then has no live
-    # rule: the closure decides all 601 atoms and nothing is compiled.
-    program = _positive_ladder(300)
     assert _wfs_stats(caplog, program) == {
-        "atoms": 601, "rules": 600, "decided": 601, "rounds": 0
+        "atoms": 4, "rules": 4, "decided": 4, "rounds": 1
     }
-    expected = WfsResult(
-        frozenset(f"b{k}" for k in range(300)),
-        frozenset(f"a{k}" for k in range(301)),
-        frozenset(),
-    )
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the alternating fixpoint ran")
-
-    monkeypatch.setattr(semantics, "_tighten", refuse)
-    monkeypatch.setattr(semantics._BitProgram, "gamma", refuse)
-    assert well_founded(program) == expected
-    small = _positive_ladder(4)
-    assert well_founded(small) == oracle_well_founded(small)
 
 
 def _wfs_stats(caplog, program):
@@ -184,10 +189,24 @@ def test_well_founded_record(caplog, pi6):
     assert _wfs_stats(caplog, pi6) == {
         "atoms": 4, "rules": 5, "decided": 0, "rounds": 0
     }
-    # One pass makes ``a`` false, one makes ``b`` true, one finds the
-    # fixpoint.
+    # a300 has no rule, so it is false, and each a{k} then has no live
+    # rule: the closure decides all 601 atoms without a round.
+    assert _wfs_stats(caplog, _positive_ladder(300)) == {
+        "atoms": 601, "rules": 600, "decided": 601, "rounds": 0
+    }
+    # One round makes ``a`` false, and the closure then makes ``b`` true.
     assert _wfs_stats(caplog, parse_program("a :- a. b :- not a.")) == {
-        "atoms": 2, "rules": 2, "decided": 0, "rounds": 3
+        "atoms": 2, "rules": 2, "decided": 2, "rounds": 1
+    }
+    # The first round finds the loop; the second finds nothing unfounded
+    # and leaves the even cycle undefined.
+    assert _wfs_stats(caplog, LOOP_ABOVE_EVEN_CYCLE) == {
+        "atoms": 4, "rules": 4, "decided": 2, "rounds": 2
+    }
+    # One round per loop, each after the closure has decided the loop
+    # below.
+    assert _wfs_stats(caplog, STACKED_LOOPS) == {
+        "atoms": 8, "rules": 10, "decided": 8, "rounds": 3
     }
 
 
@@ -292,7 +311,7 @@ def test_each_inference_of_the_completion(text, decided, true, false):
         assert bp.propagate(state, [decision])
     lower, upper = _bounds(state[0])
     assert bp.to_set(lower) == set(true.split())
-    assert bp.to_set(bp.full & ~upper) == set(false.split())
+    assert set(bp.atoms) - bp.to_set(upper) == set(false.split())
 
 
 @given(programs(), st.data())
