@@ -111,17 +111,47 @@ def refuse_to_compile(*args, **kwargs):
     raise AssertionError("the well-founded model compiled the program")
 
 
+def _refusing_to_compile():
+    """Patch ``_BitProgram.__init__`` and ``_tighten`` to raise: no
+    ``_BitProgram``, so no gamma, and no alternating fixpoint."""
+    return (
+        mock.patch.object(_BitProgram, "__init__", refuse_to_compile),
+        mock.patch.object(semantics, "_tighten", refuse_to_compile),
+    )
+
+
 @given(programs().map(lambda program: (program, oracle_well_founded(program))))
-@example((negative_chain(20_000), chain_model(20_000)))
-@example((_positive_ladder(300), _ladder_model(300)))
 def test_well_founded_compiles_nothing(case):
-    # The closure is the whole model: no ``_BitProgram``, so no gamma,
-    # and no alternating fixpoint. A 20,000-link chain and a 300-step
-    # ladder finish because the closure is linear on them.
+    # The closure is the whole model on every program.
     program, expected = case
-    with mock.patch.object(_BitProgram, "__init__", refuse_to_compile):
-        with mock.patch.object(semantics, "_tighten", refuse_to_compile):
-            assert well_founded(program) == expected
+    compile_patch, tighten_patch = _refusing_to_compile()
+    with compile_patch, tighten_patch:
+        assert well_founded(program) == expected
+
+
+def test_well_founded_without_positive_bodies_compiles_nothing(pi6):
+    # A 20,000-link chain finishes because the closure is linear on it.
+    c5 = encode_3col(graph(range(5), _cycle(list(range(5)))))
+    compile_patch, tighten_patch = _refusing_to_compile()
+    with compile_patch, tighten_patch:
+        assert well_founded(negative_chain(20_000)) == chain_model(20_000)
+        for program in (pi6, c5):
+            assert well_founded(program) == oracle_well_founded(program)
+
+
+def test_well_founded_skips_the_fallback_when_the_closure_is_total(caplog):
+    # a300 has no rule, so it is false, and each a{k} then has no live
+    # rule: the closure decides all 601 atoms without an unfounded-set
+    # round and nothing is compiled.
+    program = _positive_ladder(300)
+    small = _positive_ladder(4)
+    compile_patch, tighten_patch = _refusing_to_compile()
+    with compile_patch, tighten_patch:
+        assert _wfs_stats(caplog, program) == {
+            "atoms": 601, "rules": 600, "decided": 601, "rounds": 0
+        }
+        assert well_founded(program) == _ladder_model(300)
+        assert well_founded(small) == oracle_well_founded(small)
 
 
 def test_well_founded_without_seeds_builds_no_occurrence_index(
@@ -188,11 +218,6 @@ def test_well_founded_record(caplog, pi6):
     }
     assert _wfs_stats(caplog, pi6) == {
         "atoms": 4, "rules": 5, "decided": 0, "rounds": 0
-    }
-    # a300 has no rule, so it is false, and each a{k} then has no live
-    # rule: the closure decides all 601 atoms without a round.
-    assert _wfs_stats(caplog, _positive_ladder(300)) == {
-        "atoms": 601, "rules": 600, "decided": 601, "rounds": 0
     }
     # One round makes ``a`` false, and the closure then makes ``b`` true.
     assert _wfs_stats(caplog, parse_program("a :- a. b :- not a.")) == {
