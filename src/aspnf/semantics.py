@@ -7,24 +7,24 @@ monotone, and the well-founded model is its alternating fixpoint (Van
 Gelder, 1993).
 
 One pass over a program's rules compiles it into a ``_BitProgram``,
-under one rule numbering: the bitmasks that the one gamma,
-``_BitProgram.gamma``, reads, and the counters and occurrence lists
-that the search's completion reads. The search's one
-alternating-fixpoint loop, ``_tighten``, narrows an interval ``[lower,
-upper]`` of the subset lattice. The well-founded model compiles
-nothing: it is one closure over the rules, keyed by atom name, that
-draws immediate consequences and greatest unfounded sets
+one encoding per rule: the counters and occurrence lists that the
+search's completion reads, and each rule's number of positive body
+literals. Its ``gamma``, which the public ``gamma`` calls, is a counter
+least model over the positive occurrence lists. The search narrows an
+interval ``[lower, upper]`` of the subset lattice. The well-founded
+model compiles nothing: it is one closure over the rules, keyed by atom
+name, that draws immediate consequences and greatest unfounded sets
 (``_closure``).
 
 Interpretations are plain ``frozenset`` values of atom names.
 
 ``enumerate_answer_sets`` searches the subset space exhaustively. At
-every node it alternates the gamma fixpoint with the completion
-inferences below (the ``expand`` step of smodels: Simons, Niemelä and
-Soininen, 2002) until neither narrows ``[lower, upper]``, then splits
-on one undecided atom. A rule is *blocked* when a positive body atom is
-outside ``upper`` or a negative body atom is in ``lower``; a literal
-*holds* when its atom is decided its way. Every answer set S with
+every node it alternates the completion inferences below (the
+``expand`` step of smodels: Simons, Niemelä and Soininen, 2002) with
+the unfounded bound until neither narrows ``[lower, upper]``, then
+splits on one undecided atom. A rule is *blocked* when a positive body
+atom is outside ``upper`` or a negative body atom is in ``lower``; a
+literal *holds* when its atom is decided its way. Every answer set S with
 ``lower <= S <= upper`` satisfies each inference, because an atom is in
 S iff some rule with head that atom has a body true in S:
 
@@ -54,27 +54,41 @@ interval is drawn from every narrower one, so every order reaches the
 same fixpoint, or a conflict: each node gets the interval a rescan of
 every atom would give, and the search visits the same nodes in order.
 
+Any answer set S in ``[lower, upper]`` satisfies ``gamma(upper) <= S
+<= gamma(lower)``, because gamma is antimonotone: the two bounds of Van
+Gelder's alternating fixpoint. The search draws the second as the
+*unfounded bound*: after each counter fixpoint every atom that is not
+false and that ``gamma(lower)`` does not derive turns false, a conflict
+if it is true, and the counter loop resumes. Three steps show that
+nothing else is needed:
+
+1. The completion implies ``gamma(upper) <= lower``. A rule of the
+   reduct by ``upper`` has every negative body atom false; by induction
+   on the derivation its positive body atoms are true, so all its
+   literals hold and inference 3 has made its head true.
+2. The completion and the unfounded bound only narrow the interval,
+   and each inference drawn from an interval is drawn from every
+   narrower one, so every order reaches the same fixpoint, or a
+   conflict, and the search visits the same nodes.
+3. At a leaf ``lower == upper == S``, so ``gamma(S) <= S`` by step 1 and
+   ``S <= gamma(S)`` by the unfounded bound: ``gamma(S) == S``, and
+   every leaf is an answer set with no further check.
+
+Without positive body literals the completion subsumes the unfounded
+bound, so the search skips it: ``gamma(lower)`` is then the heads of
+rules with no true negative body atom, which are the unblocked rules,
+so it drops exactly the atoms with no unblocked rule, which inference
+1 has made false.
+
 Rules with an atom both positive and negative in their body are never
 true: the search starts them blocked, though gamma reads them. The
 completion is too strong for the well-founded model (on ``q :- not q.
 q :- not a.`` it makes ``q`` true, which that model leaves undefined);
 the closure of ``well_founded`` draws only inference 3 for bodies that
 hold outright, and greatest unfounded sets, which hold the atoms that
-the first sentence of inference 1 makes false. At a leaf of a program
-with positive body literals the search keeps ``lower`` iff
-``gamma(lower) == lower``, so the result is exact whatever the
-propagation prunes; the tests cross-check it, and the well-founded
-model, against independent implementations.
-
-Without positive body literals the completion subsumes the gamma
-fixpoint, so the search skips it. ``gamma(s)`` is then the heads of
-rules with no negative body atom in ``s``: ``gamma(upper)`` is the
-heads of bodies that hold, which inference 3 has made true, and ``upper
-& gamma(lower)`` drops exactly the atoms with no unblocked rule, which
-inference 1 has made false. Nor does such a program need the leaf
-check. At a total assignment a rule is unblocked iff all its literals
-hold. Inference 3 puts every such head in ``lower``, and support gives
-every true atom such a rule, so ``gamma(lower) == lower``.
+the first sentence of inference 1 makes false. The tests cross-check
+the search, gamma and the well-founded model against independent
+implementations.
 
 Before searching, ``enumerate_answer_sets`` splits the program into the
 connected components of its atom-rule incidence graph, where an atom
@@ -122,7 +136,11 @@ def gamma(program: Program, atoms: Iterable[str]) -> frozenset[str]:
     lies inside ``p.atoms``, so a set with other atoms never is.
     """
     bp = _BitProgram(program.rules, program.atoms)
-    return bp.to_set(bp.gamma(bp.to_mask(atoms)))
+    value = bytearray(len(bp.atoms))
+    for atom in atoms:
+        if atom in bp.index:
+            value[bp.index[atom]] = _TRUE
+    return frozenset(compress(bp.atoms, bp.gamma(value)))
 
 
 @dataclass(frozen=True)
@@ -254,53 +272,57 @@ def _closure(program: Program) -> tuple[set[str], set[str], int]:
 class _BitProgram:
     """A component's rules compiled by one pass, under one rule
     numbering, over the given atoms (which must hold every atom of the
-    rules): one position and one bit per atom.
+    rules): one position per atom.
 
-    Low bits are assigned to non-reserved atoms so that the search
+    Low positions are assigned to non-reserved atoms so that the search
     branches on them first: values of transformation-generated atoms
     (``__`` prefix) are usually forced by propagation once the original
     atoms are decided.
 
-    ``rules`` holds ``(head, pos, neg)`` masks for gamma. The rest
-    serves the completion of the module docstring. ``heads`` and
-    ``bodies`` hold each rule by position, its literals as ``(atom,
-    value that holds it)``; ``rules_of`` each atom's rules; and
-    ``watch[value][atom]`` the rules where the atom's literal holds under
-    that value, and where it fails. A search state ``(value, live,
-    unmet)`` holds each atom's value (0 while undecided) and number of
-    unblocked rules, and each rule's number of literals that do not hold
-    yet (-1 once blocked). A rule with an atom both positive and
-    negative starts blocked and is in no ``rules_of``. ``initial`` is
-    what the rules decide alone: atoms without rules are false; rules
+    ``heads`` and ``bodies`` hold each rule by position, its literals as
+    ``(atom, value that holds it)``; ``positives`` each rule's number of
+    positive body literals, for gamma; ``rules_of`` each atom's rules;
+    and ``watch[value][atom]`` the rules where the atom's literal holds
+    under that value, and where it fails, so ``watch[_TRUE][atom]`` is
+    its positive and its negative occurrences. A search state ``(value,
+    live, unmet)`` holds each atom's value (0 while undecided) and
+    number of unblocked rules, and each rule's number of literals that
+    do not hold yet (-1 once blocked). A rule with an atom both positive
+    and negative starts blocked and is in no ``rules_of``. ``initial``
+    is what the rules decide alone: atoms without rules are false; rules
     with no literal, or only ``not head``, fire inference 3."""
 
     def __init__(self, rules: Iterable[Rule], atoms: Iterable[str]):
         self.atoms = tuple(sorted(atoms, key=lambda a: (is_reserved(a), a)))
         self.index = index = {atom: i for i, atom in enumerate(self.atoms)}
         positions = range(len(self.atoms))
-        self.rules, self.heads, self.bodies, self.self_negating = [], [], [], []
+        self.heads, self.bodies, self.self_negating, self.positives = [], [], [], []
         self.unmet, self.initial = [], []  # ``unmet`` of the root state
         self.rules_of = [[] for _ in positions]
         positive, negative = [[] for _ in positions], [[] for _ in positions]
         for r, rule in enumerate(rules):
-            pos_mask = neg_mask = 0
             body = []
+            count = 0
+            contradictory = False
             for atom, negated in rule.body:
                 i = index[atom]
                 if negated:
-                    neg_mask |= 1 << i
                     body.append((i, _FALSE))
                     negative[i].append(r)
+                    opposite = positive[i]
                 else:
-                    pos_mask |= 1 << i
                     body.append((i, _TRUE))
                     positive[i].append(r)
+                    opposite = negative[i]
+                    count += 1
+                if opposite and opposite[-1] == r:  # both literals of ``atom``
+                    contradictory = True
             head = index[rule.head]
-            self.rules.append((1 << head, pos_mask, neg_mask))
             self.heads.append(head)
             self.bodies.append(body)
+            self.positives.append(count)
             self.self_negating.append((rule.head, True) in rule.body)
-            if pos_mask & neg_mask:
+            if contradictory:
                 self.unmet.append(-1)
                 continue
             self.unmet.append(len(body))
@@ -309,31 +331,31 @@ class _BitProgram:
                 self.initial.append((head, _TRUE))
         self.initial += [(a, _FALSE) for a in positions if not self.rules_of[a]]
         self.watch = None, list(zip(positive, negative)), list(zip(negative, positive))
-        self.negative_only = all(p == 0 for _, p, _ in self.rules)
+        self.negative_only = not any(self.positives)
 
-    def gamma(self, s: int) -> int:
-        active = [(h, p) for h, p, n in self.rules if not n & s]
-        derived = 0
-        while True:
-            new = derived
-            for head, pos_mask in active:
-                if not pos_mask & ~new:
-                    new |= head
-            if new == derived:
-                return derived
-            derived = new
-
-    def to_mask(self, atoms: Iterable[str]) -> int:
-        """Bits of the atoms in the universe; other atoms are dropped."""
-        mask = 0
-        for atom in atoms:
-            if atom in self.index:
-                mask |= 1 << self.index[atom]
-        return mask
-
-    def to_set(self, mask: int) -> frozenset[str]:
-        digits = bin(mask)[:1:-1].encode()  # lowest bit first
-        return frozenset(compress(self.atoms, digits.translate(_SELECT)))
+    def gamma(self, value: bytearray) -> bytearray:
+        """The least model of the reduct by the atoms that are true in
+        ``value``, one byte per atom (1 when derived). A rule with a true
+        negative body atom is inactive; every other rule counts its
+        positive body atoms not derived yet, and derives its head when
+        the count reaches 0."""
+        heads, occurrences = self.heads, self.watch[_TRUE]
+        need = self.positives.copy()
+        for truth, (_, negatives) in zip(value, occurrences):
+            if truth == _TRUE:
+                for r in negatives:
+                    need[r] = -1  # inactive: never counts down to 0
+        derived = bytearray(len(value))
+        # The queue grows while it is read; each rule adds its head once.
+        queue = [head for head, n in zip(heads, need) if not n]
+        for atom in queue:
+            if not derived[atom]:
+                derived[atom] = 1
+                for r in occurrences[atom][0]:
+                    need[r] -= 1
+                    if not need[r]:
+                        queue.append(heads[r])
+        return derived
 
     def root(self) -> tuple:
         """The search state of the full interval, before ``initial``."""
@@ -342,8 +364,8 @@ class _BitProgram:
 
     def propagate(self, state: tuple, decided: Iterable[tuple[int, int]]) -> bool:
         """Decide each ``(atom, value)`` of ``decided`` in ``state``, then
-        alternate the counter fixpoint with ``_tighten`` (skipped without
-        positive body literals) until neither moves. False on a
+        alternate the counter fixpoint with the unfounded bound (skipped
+        without positive body literals) until neither moves. False on a
         conflict, which leaves ``state`` half updated."""
         value, live, unmet = state
         heads, bodies, rules_of = self.heads, self.bodies, self.rules_of
@@ -417,56 +439,27 @@ class _BitProgram:
                             return False
             if self.negative_only:
                 return True
-            lower, upper = _bounds(value)
-            bounds = _tighten(self, lower, upper)
-            if bounds is None:
-                return False
-            if bounds == (lower, upper):
+            # The unfounded bound: what gamma(lower) does not derive is false.
+            derived = self.gamma(value)
+            queue = [
+                a for a, truth in enumerate(value) if truth != _FALSE and not derived[a]
+            ]
+            if not queue:
                 return True
-            lower, upper = bounds
-            undecided = lower ^ upper
-            queue = [a for a, v in enumerate(value) if not v and not undecided >> a & 1]
             for atom in queue:
-                value[atom] = _TRUE if lower >> atom & 1 else _FALSE
+                if value[atom]:
+                    return False
+                value[atom] = _FALSE
 
 
-def _tighten(bp: _BitProgram, lower: int, upper: int) -> tuple[int, int] | None:
-    """Narrow ``[lower, upper]`` by the alternating fixpoint of gamma;
-    None when the interval holds no answer set.
-
-    Sound by antimonotonicity: any answer set S in the interval
-    satisfies gamma(upper) <= S (since S <= upper) and S <= gamma(lower)
-    (since lower <= S).
-    """
-    while True:
-        tightened_lower = lower | bp.gamma(upper)
-        if tightened_lower & ~upper:
-            return None
-        tightened_upper = upper & bp.gamma(tightened_lower)
-        if tightened_lower & ~tightened_upper:
-            return None
-        if tightened_lower == lower and tightened_upper == upper:
-            return lower, upper
-        lower, upper = tightened_lower, tightened_upper
-
-
-_LOWER = bytes.maketrans(b"\0\1\2", b"010")
-_UPPER = bytes.maketrans(b"\0\1\2", b"110")
-_SELECT = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bounds(value: bytearray) -> tuple[int, int]:
-    """``lower`` and ``upper`` of the interval that atom values give."""
-    digits = b"0" + value[::-1]
-    return int(digits.translate(_LOWER), 2), int(digits.translate(_UPPER), 2)
-
-
-def _search(bp: _BitProgram) -> tuple[list[int], int, int]:
+def _search(bp: _BitProgram) -> tuple[list[frozenset[str]], int, int]:
     """Bound-and-branch over intervals of the subset lattice: the answer
     sets, and the numbers of search nodes and of conflicts (nodes that
     hold no answer set). The true child, popped first, propagates a copy
-    of its parent's state, and the false child the state itself."""
-    found: list[int] = []
+    of its parent's state, and the false child the state itself. A node
+    whose propagation decides every atom is an answer set (module
+    docstring)."""
+    found: list[frozenset[str]] = []
     nodes = conflicts = 0
     pending = [(bp.root(), bp.initial)]
     while pending:
@@ -478,11 +471,7 @@ def _search(bp: _BitProgram) -> tuple[list[int], int, int]:
         value, live, unmet = state
         atom = value.find(0)
         if atom < 0:
-            lower = _bounds(value)[0]
-            if bp.negative_only or bp.gamma(lower) == lower:
-                found.append(lower)
-            else:
-                conflicts += 1
+            found.append(frozenset(compress(bp.atoms, map(_TRUE.__eq__, value))))
             continue
         pending.append((state, ((atom, _FALSE),)))
         copy = bytearray(value), live.copy(), unmet.copy()
@@ -540,8 +529,7 @@ def enumerate_answer_sets(
         found, component_nodes, component_conflicts = _search(bp)
         nodes += component_nodes
         conflicts += component_conflicts
-        parts = [bp.to_set(mask) for mask in found]
-        answer_sets = [s | part for s in answer_sets for part in parts]
+        answer_sets = [s | part for s in answer_sets for part in found]
         if not answer_sets:
             break
     if _log.isEnabledFor(logging.DEBUG):

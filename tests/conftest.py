@@ -160,34 +160,36 @@ def oracle_answer_sets(program: Program) -> list[frozenset[str]]:
     return result
 
 
+def oracle_gamma(program: Program, interpretation) -> frozenset[str]:
+    """The Gelfond-Lifschitz operator over plain sets, with its own
+    inline reduct and closure: the least model of the rules with no
+    negative body atom in ``interpretation``."""
+    surviving = [
+        (rule.head, [lit.atom for lit in rule.body if not lit.negated])
+        for rule in program.rules
+        if not any(lit.negated and lit.atom in interpretation for lit in rule.body)
+    ]
+    model: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, positives in surviving:
+            if head not in model and all(a in model for a in positives):
+                model.add(head)
+                changed = True
+    return frozenset(model)
+
+
 def oracle_well_founded(program: Program) -> WfsResult:
-    """Alternating fixpoint of the Gelfond-Lifschitz operator over
-    plain sets, with its own inline reduct and closure (Van Gelder
-    1993): ``lower = gamma(upper)``, ``upper = gamma(lower)`` from the
-    full universe until neither moves."""
-
-    def gamma(interpretation: frozenset[str]) -> frozenset[str]:
-        surviving = [
-            (rule.head, [lit.atom for lit in rule.body if not lit.negated])
-            for rule in program.rules
-            if not any(lit.negated and lit.atom in interpretation for lit in rule.body)
-        ]
-        model: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for head, positives in surviving:
-                if head not in model and all(a in model for a in positives):
-                    model.add(head)
-                    changed = True
-        return frozenset(model)
-
+    """Alternating fixpoint of ``oracle_gamma`` (Van Gelder 1993):
+    ``lower = gamma(upper)``, ``upper = gamma(lower)`` from the full
+    universe until neither moves."""
     universe = program.atoms
     lower: frozenset[str] = frozenset()
     upper = universe
     while True:
-        next_lower = gamma(upper)
-        next_upper = gamma(next_lower)
+        next_lower = oracle_gamma(program, upper)
+        next_upper = oracle_gamma(program, next_lower)
         if (next_lower, next_upper) == (lower, upper):
             return WfsResult(lower, universe - upper, upper - lower)
         lower, upper = next_lower, next_upper

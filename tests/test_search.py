@@ -15,6 +15,7 @@ from aspnf import (
     Rule,
     WfsResult,
     enumerate_answer_sets,
+    gamma,
     neg,
     parse_program,
     pos,
@@ -22,17 +23,12 @@ from aspnf import (
 )
 from aspnf import semantics
 from aspnf.generate import encode_3col, graph
-from aspnf.semantics import (
-    _FALSE,
-    _TRUE,
-    _BitProgram,
-    _bounds,
-    _tighten,
-)
+from aspnf.semantics import _FALSE, _TRUE, _BitProgram
 from conftest import (
     chain_model,
     negative_chain,
     oracle_answer_sets,
+    oracle_gamma,
     oracle_well_founded,
     programs,
     rename_atoms,
@@ -82,6 +78,23 @@ def test_well_founded_of_negative_programs_matches_oracle(program):
     assert well_founded(program) == oracle_well_founded(program)
 
 
+def _with_subsets(program):
+    atoms = sorted(program.atoms)
+    subsets = st.sets(st.sampled_from(atoms)) if atoms else st.just(set())
+    return st.tuples(st.just(program), subsets)
+
+
+@given(programs().flatmap(_with_subsets))
+@example((SELF_CONTRADICTORY, set()))
+def test_gamma_matches_oracle(case):
+    # A subset of the atoms plus one atom outside the universe, which
+    # gamma ignores. On the example gamma derives ``p`` from its
+    # self-contradictory rule.
+    program, subset = case
+    s = subset | {"outside"}
+    assert gamma(program, s) == oracle_gamma(program, s)
+
+
 def test_chain_model_is_the_well_founded_model():
     # The expected partition of the long-chain tests, on short chains.
     for n in range(6):
@@ -112,28 +125,23 @@ def refuse_to_compile(*args, **kwargs):
 
 
 def _refusing_to_compile():
-    """Patch ``_BitProgram.__init__`` and ``_tighten`` to raise: no
-    ``_BitProgram``, so no gamma, and no alternating fixpoint."""
-    return (
-        mock.patch.object(_BitProgram, "__init__", refuse_to_compile),
-        mock.patch.object(semantics, "_tighten", refuse_to_compile),
-    )
+    """Patch ``_BitProgram.__init__`` to raise: no ``_BitProgram``, so no
+    gamma and no search propagation."""
+    return mock.patch.object(_BitProgram, "__init__", refuse_to_compile)
 
 
 @given(programs().map(lambda program: (program, oracle_well_founded(program))))
 def test_well_founded_compiles_nothing(case):
     # The closure is the whole model on every program.
     program, expected = case
-    compile_patch, tighten_patch = _refusing_to_compile()
-    with compile_patch, tighten_patch:
+    with _refusing_to_compile():
         assert well_founded(program) == expected
 
 
 def test_well_founded_without_positive_bodies_compiles_nothing(pi6):
     # A 20,000-link chain finishes because the closure is linear on it.
     c5 = encode_3col(graph(range(5), _cycle(list(range(5)))))
-    compile_patch, tighten_patch = _refusing_to_compile()
-    with compile_patch, tighten_patch:
+    with _refusing_to_compile():
         assert well_founded(negative_chain(20_000)) == chain_model(20_000)
         for program in (pi6, c5):
             assert well_founded(program) == oracle_well_founded(program)
@@ -145,8 +153,7 @@ def test_well_founded_skips_the_fallback_when_the_closure_is_total(caplog):
     # round and nothing is compiled.
     program = _positive_ladder(300)
     small = _positive_ladder(4)
-    compile_patch, tighten_patch = _refusing_to_compile()
-    with compile_patch, tighten_patch:
+    with _refusing_to_compile():
         assert _wfs_stats(caplog, program) == {
             "atoms": 601, "rules": 600, "decided": 601, "rounds": 0
         }
@@ -241,8 +248,9 @@ def _state_of(bp, value):
     do not hold, or -1 when one is false or the rule has an atom both
     positive and negative."""
     unmet = []
-    for body, (_head, pos_mask, neg_mask) in zip(bp.bodies, bp.rules):
-        if pos_mask & neg_mask or any(value[a] not in (0, way) for a, way in body):
+    for body in bp.bodies:
+        contradictory = any((a, _TRUE) in body and (a, _FALSE) in body for a, _ in body)
+        if contradictory or any(value[a] not in (0, way) for a, way in body):
             unmet.append(-1)
         else:
             unmet.append(sum(value[a] != way for a, way in body))
@@ -268,10 +276,15 @@ def _open_inferences(bp, state):
             selfneg = bp.self_negating[r]
             if not value[atom] and unmet[r] <= selfneg:
                 found.append(("true body", r))
-    if not bp.negative_only:
-        lower, upper = _bounds(value)
-        if _tighten(bp, lower, upper) != (lower, upper):
-            found.append(("gamma", lower, upper))
+    # gamma(upper) lies in lower (the completion implies it), and every
+    # atom that is not false is in gamma(lower) (the unfounded bound).
+    upper = bytearray(v or _TRUE for v in value)
+    for atom, derived in enumerate(bp.gamma(upper)):
+        if derived and value[atom] != _TRUE:
+            found.append(("gamma(upper)", atom))
+    for atom, derived in enumerate(bp.gamma(value)):
+        if not derived and value[atom] != _FALSE:
+            found.append(("unfounded", atom))
     return found
 
 
@@ -334,9 +347,9 @@ def test_each_inference_of_the_completion(text, decided, true, false):
     for atom, truth in decided.items():
         decision = bp.index[atom], _TRUE if truth else _FALSE
         assert bp.propagate(state, [decision])
-    lower, upper = _bounds(state[0])
-    assert bp.to_set(lower) == set(true.split())
-    assert set(bp.atoms) - bp.to_set(upper) == set(false.split())
+    values = dict(zip(bp.atoms, state[0]))
+    assert {atom for atom, v in values.items() if v == _TRUE} == set(true.split())
+    assert {atom for atom, v in values.items() if v == _FALSE} == set(false.split())
 
 
 @given(programs(), st.data())
@@ -364,14 +377,16 @@ def test_a_node_keeps_every_answer_that_agrees_with_its_decisions(program, data)
     # Soundness: an answer set that takes every decision on the path
     # lies inside the node's propagated interval.
     bp = _BitProgram(program.rules, program.atoms)
-    answers = [bp.to_mask(s) for s in oracle_answer_sets(program)]
+    answers = [
+        [_TRUE if atom in s else _FALSE for atom in bp.atoms]
+        for s in oracle_answer_sets(program)
+    ]
 
     def check(decided, state):
         for answer in answers:
-            if all((answer >> a & 1) == (truth == _TRUE) for a, truth in decided):
+            if all(answer[a] == truth for a, truth in decided):
                 assert state is not None
-                lower, upper = _bounds(state[0])
-                assert lower & ~answer == 0 and answer & ~upper == 0
+                assert all(v in (0, truth) for v, truth in zip(state[0], answer))
 
     _walk(bp, data, check)
 
@@ -401,8 +416,8 @@ def refuse_gamma(*args, **kwargs):
 
 @given(programs(negative_only=True))
 def test_negative_only_search_runs_no_gamma(program):
-    # The completed counter fixpoint of a total assignment is a fixpoint
-    # of gamma (module docstring), so no leaf checks it.
+    # Without positive body literals the completion implies the
+    # unfounded bound (module docstring), so the search runs no gamma.
     with mock.patch.object(_BitProgram, "gamma", refuse_gamma):
         answers = list(enumerate_answer_sets(program))
     assert answers == oracle_answer_sets(program)
@@ -411,7 +426,7 @@ def test_negative_only_search_runs_no_gamma(program):
 def test_search_record(caplog, monkeypatch):
     # 3-colourings of the cycle C_n: fewer than 3 search nodes per answer,
     # and exactly the nodes and conflicts of the current pruning, with no
-    # leaf check.
+    # gamma.
     monkeypatch.setattr(_BitProgram, "gamma", refuse_gamma)
     for n, nodes in ((6, 131), (8, 515), (10, 2051)):
         stats = _search_stats(caplog, graph(range(n), _cycle(list(range(n)))))
@@ -454,8 +469,8 @@ x0 :- not x5, x4, not x3.  x5 :- not x0.  x2 :- x4.  x1 :- not x3, not x6.
 
 
 def test_search_record_with_positive_bodies(caplog):
-    # With positive body literals ``_tighten`` runs between counter
-    # fixpoints; the search takes exactly the nodes and conflicts of the
+    # With positive body literals the unfounded bound runs between
+    # counter fixpoints; the search takes exactly the nodes and conflicts of the
     # current pruning. A positive loop, the same loop fed by an even
     # cycle, and a drawn program.
     for text, pin in (
@@ -467,6 +482,49 @@ def test_search_record_with_positive_bodies(caplog):
         stats = _enumeration_stats(caplog, program)
         assert (stats["nodes"], stats["conflicts"]) == pin, (text, stats)
         assert list(enumerate_answer_sets(program)) == oracle_answer_sets(program)
+
+
+def _hamiltonian(n):
+    """Hamiltonian cycles of the complete digraph on ``n`` nodes: each
+    arc is in or out, two arcs with the same source or target are not
+    both in, and every node is reached from node 0 along ``in`` arcs."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    text = [f"in({u},{v}) :- not out({u},{v}). out({u},{v}) :- not in({u},{v})."
+            for u, v in arcs]
+    text += [
+        f":- in({a},{b}), in({c},{d})."
+        for i, (a, b) in enumerate(arcs)
+        for c, d in arcs[i + 1:]
+        if a == c or b == d
+    ]
+    text += [f"reached({v}) :- in(0,{v})." for u, v in arcs if u == 0]
+    text += [f"reached({v}) :- reached({u}), in({u},{v})." for u, v in arcs if u]
+    text += [f":- not reached({v})." for v in range(n)]
+    return parse_program(" ".join(text))
+
+
+def test_search_record_of_a_hamiltonian_encoding(caplog):
+    # Constraints, a positive loop through ``reached`` and real
+    # branching: K4 has 3! = 6 Hamiltonian cycles. The oracle cannot
+    # enumerate 56 atoms, so the test checks each answer's cycle.
+    program = _hamiltonian(4)
+    stats = _enumeration_stats(caplog, program)
+    assert (stats["atoms"], stats["rules"], stats["answers"]) == (56, 64, 6)
+    assert (stats["nodes"], stats["conflicts"]) == (209, 99), stats
+    cycles = set()
+    for answer in enumerate_answer_sets(program, max_atoms=56):
+        succ = dict(
+            tuple(map(int, atom[3:-1].split(",")))
+            for atom in answer
+            if atom.startswith("in(")
+        )
+        node, tour = 0, []
+        for _ in range(4):
+            node = succ[node]
+            tour.append(node)
+        assert len(succ) == 4 and sorted(tour) == [0, 1, 2, 3] and node == 0
+        cycles.add(tuple(tour))
+    assert len(cycles) == 6
 
 
 EVEN_LOOP = Program((Rule("x0", (neg("x1"),)), Rule("x1", (neg("x0"),))))
