@@ -25,12 +25,12 @@ from .kernel import (
 )
 from .model import Program
 from .normalize import check_3kernel, three_kernelize, trace_to_dict
-from .semantics import enumerate_answer_sets, well_founded
+from .semantics import _answer_tuples, well_founded
 from .textio import export_dot, parse_program, render_program, split_atom_list
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
@@ -58,14 +58,14 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    program = _read_program(args)
-    collection = enumerate_answer_sets(program, args.max_atoms)
+    # Sorted name tuples, which JSON writes as lists.
+    collection = _answer_tuples(_read_program(args), args.max_atoms)
     if args.json:
-        print(json.dumps([sorted(s) for s in collection]))
+        print(json.dumps(collection))
     else:
         for answer_set in collection:
-            print(_format_set(answer_set))
-    return 0 if len(collection) else 1
+            print(", ".join(answer_set))
+    return 0 if collection else 1
 
 
 def _cmd_wfs(args: argparse.Namespace) -> int:

@@ -99,7 +99,9 @@ only on its own component's atoms, so ``gamma`` of a union is the union
 of each component's ``gamma``, and the answer sets of the program are
 the unions of one answer set from each component. Each component is
 compiled and searched on its own, in the order of its first rule; the
-first one with no answer set ends the search.
+first one with no answer set ends the search. Each answer is a tuple
+of atom names, sorted once, where the parts are joined; ``solve``
+prints those tuples.
 
 After each enumeration the ``aspnf`` logger gets one debug record whose
 arguments are a dict of atoms, rules, components, search nodes,
@@ -452,14 +454,15 @@ class _BitProgram:
                 value[atom] = _FALSE
 
 
-def _search(bp: _BitProgram) -> tuple[list[frozenset[str]], int, int]:
+def _search(bp: _BitProgram) -> tuple[list[tuple[str, ...]], int, int]:
     """Bound-and-branch over intervals of the subset lattice: the answer
-    sets, and the numbers of search nodes and of conflicts (nodes that
-    hold no answer set). The true child, popped first, propagates a copy
-    of its parent's state, and the false child the state itself. A node
-    whose propagation decides every atom is an answer set (module
-    docstring)."""
-    found: list[frozenset[str]] = []
+    sets as name tuples in ``bp.atoms`` order, sorted once where the
+    component parts are joined, and the numbers of search nodes and of
+    conflicts (nodes that hold no answer set). The true child, popped
+    first, propagates a copy of its parent's state, and the false child
+    the state itself. A node whose propagation decides every atom is an
+    answer set (module docstring)."""
+    found: list[tuple[str, ...]] = []
     nodes = conflicts = 0
     pending = [(bp.root(), bp.initial)]
     while pending:
@@ -471,7 +474,7 @@ def _search(bp: _BitProgram) -> tuple[list[frozenset[str]], int, int]:
         value, live, unmet = state
         atom = value.find(0)
         if atom < 0:
-            found.append(frozenset(compress(bp.atoms, map(_TRUE.__eq__, value))))
+            found.append(tuple(compress(bp.atoms, map(_TRUE.__eq__, value))))
             continue
         pending.append((state, ((atom, _FALSE),)))
         copy = bytearray(value), live.copy(), unmet.copy()
@@ -515,6 +518,11 @@ def enumerate_answer_sets(
     on the sorted atom names. Each connected component of the program
     is searched on its own (module docstring).
     """
+    return tuple(map(frozenset, _answer_tuples(program, max_atoms)))
+
+
+def _answer_tuples(program: Program, max_atoms: int | None) -> list[tuple[str, ...]]:
+    """``enumerate_answer_sets`` as sorted name tuples, in its order."""
     cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     size = len(program.atoms)
     if size > cap:
@@ -522,14 +530,14 @@ def enumerate_answer_sets(
             f"program has {size} atoms, enumeration cap is {cap}"
         )
     components = _components(program)
-    answer_sets: list[frozenset[str]] = [frozenset()]
+    answer_sets: list[tuple[str, ...]] = [()]
     nodes = conflicts = 0
     for rules, atoms in components:
         bp = _BitProgram(rules, atoms)
         found, component_nodes, component_conflicts = _search(bp)
         nodes += component_nodes
         conflicts += component_conflicts
-        answer_sets = [s | part for s in answer_sets for part in found]
+        answer_sets = [tuple(sorted(s + part)) for s in answer_sets for part in found]
         if not answer_sets:
             break
     if _log.isEnabledFor(logging.DEBUG):
@@ -546,5 +554,7 @@ def enumerate_answer_sets(
                 "answers": len(answer_sets),
             },
         )
-    answer_sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(answer_sets)
+    # By size, then by names: the second sort is stable.
+    answer_sets.sort()
+    answer_sets.sort(key=len)
+    return answer_sets

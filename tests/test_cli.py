@@ -67,7 +67,7 @@ def test_solve(pi6_file, capsys):
 
 def test_solve_json(pi6_file, capsys):
     assert main(["solve", pi6_file, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == [["b", "q"]]
+    assert capsys.readouterr().out == '[["b", "q"]]\n'
 
 
 def test_solve_inconsistent_exit_code(tmp_path, capsys):
@@ -453,6 +453,13 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys, argv):
     path.write_bytes("a :- not b.\n% caf\xe9\n".encode("latin-1"))
     assert main(argv + [str(path)]) == 3
     _assert_clean_error(capsys)
+
+
+def test_solve_reads_past_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.lp"
+    path.write_bytes(b"\xef\xbb\xbfa :- not b.\nb :- not a.\n")
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr() == ("a\nb\n", "")
 
 
 def _assert_one_error_line(capsys):

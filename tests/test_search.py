@@ -1,8 +1,11 @@
 """The answer-set search and the well-founded model: exact against the
 independent oracles on generated programs, the search's counter
-propagation, the well-founded closure, which compiles nothing, and the
-debug records of both."""
+propagation, the well-founded closure, which compiles nothing, the
+debug records of both, and the order in which ``solve`` prints answers."""
 
+import contextlib
+import io
+import json
 import logging
 from unittest import mock
 
@@ -19,9 +22,11 @@ from aspnf import (
     neg,
     parse_program,
     pos,
+    render_program,
     well_founded,
 )
 from aspnf import semantics
+from aspnf.cli import main
 from aspnf.generate import encode_3col, graph
 from aspnf.semantics import _FALSE, _TRUE, _BitProgram
 from conftest import (
@@ -57,6 +62,39 @@ STACKED_LOOPS = parse_program(
 @example(SELF_CONTRADICTORY)
 def test_enumeration_matches_oracle(program):
     assert list(enumerate_answer_sets(program)) == oracle_answer_sets(program)
+
+
+# ``__x`` sorts first by name, but the search places reserved atoms last.
+RESERVED_LAST = parse_program(
+    "b :- not a. __x :- not b2. b2 :- not __x. aa.", allow_reserved=True
+)
+# Two components whose atom names interleave.
+INTERLEAVED = parse_program("z :- not y. y :- not z. a :- not b. b :- not a.")
+
+
+def _solve(tmp_path_factory, program, *flags):
+    path = tmp_path_factory.getbasetemp() / "order.lp"
+    path.write_text(render_program(program), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["solve", str(path), "--allow-reserved", *flags])
+    return code, out.getvalue()
+
+
+@given(programs())
+@example(RESERVED_LAST)
+@example(INTERLEAVED)
+def test_solve_prints_answers_in_the_oracle_order(tmp_path_factory, program):
+    # The search may find answers in another order than the output order.
+    expected = sorted(oracle_answer_sets(program), key=lambda s: (len(s), sorted(s)))
+    answers = enumerate_answer_sets(program)
+    assert type(answers) is tuple and list(answers) == expected
+    assert all(type(s) is frozenset for s in answers)
+    code = 0 if expected else 1
+    as_json = json.dumps([sorted(s) for s in expected]) + "\n"
+    assert _solve(tmp_path_factory, program, "--json") == (code, as_json)
+    plain = "".join(", ".join(sorted(s)) + "\n" for s in expected)
+    assert _solve(tmp_path_factory, program) == (code, plain)
 
 
 @given(programs())
