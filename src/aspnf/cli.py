@@ -24,7 +24,7 @@ from .kernel import (
     parse_antichain,
 )
 from .model import Program
-from .normalize import check_3kernel, three_kernelize, trace_to_dict
+from .normalize import _trace_dict, check_3kernel, three_kernelize
 from .semantics import _answer_tuples, well_founded
 from .textio import export_dot, parse_program, render_program, split_atom_list
 
@@ -133,10 +133,13 @@ def _json_text(value, indent: str = "") -> str:
 
 def _cmd_3kernelize(args: argparse.Namespace) -> int:
     result, trace = three_kernelize(_read_program(args))
+    text = render_program(result)
     if args.trace:
+        # the trace takes the text of each rule of the result from the output
+        rendered = dict(zip(result.rules, text.split("\n")))
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(_json_text(trace_to_dict(trace)) + "\n")
-    print(render_program(result), end="")
+            handle.write(_json_text(_trace_dict(trace, rendered)) + "\n")
+    print(text, end="")
     return 0
 
 

@@ -21,10 +21,11 @@ connected component of ``h`` in the graph of steps. So one witness pass
 and one Tarjan pass (iterative) give the in-cycle rules and atoms and
 the cycle steps, gathered per program into a :class:`StructuralIndex`,
 which also tells whether a rule is auxiliary, its body an OR handle
-(:meth:`StructuralIndex.is_auxiliary`). The long-rule rewrite and the
-bridge search read only that index. The bridge search reads the cycle
-steps directly, since only a two-literal body leaves an AND handle of
-one literal; the table of all AND handles
+(:meth:`StructuralIndex.is_auxiliary`). ``3kernelize`` builds one, on
+its input, for the long-rule rewrite; the bridge search reads the
+rewrite's index derived from it (``normalize._expanded_index``), with
+no Tarjan pass over fresh atoms. The bridge search reads the cycle
+steps directly; the table of all AND handles
 (:attr:`StructuralIndex.handles`) is built only when asked for, by
 ``check_3kernel``. Whether a bridge target lies in a cycle other than
 the anchor's is a component question too, except for a self-loop
@@ -249,7 +250,8 @@ class StructuralIndex:
     head's component: the shortest path from ``b`` back to the head
     closes an elementary cycle. :meth:`is_auxiliary` answers for one
     rule from the in-cycle sets; :attr:`handles` comes from the same
-    two passes when asked for.
+    two passes when asked for. An index whose components are known by
+    construction skips both passes (:meth:`_derived`).
     """
 
     def __init__(self, program: Program) -> None:
@@ -273,20 +275,51 @@ class StructuralIndex:
         self.witnesses = witnesses
         self._successors = successors
         self._components = _components(list(successors), successors)
-        self._component_of = {
+        component_of = self._component_of = {
             atom: members for members in map(set, self._components) for atom in members
         }
         # a step is a cycle step iff it is a self-loop or stays in one component
-        self._cycle_steps = [
-            (step, rules)
+        self._collect([
+            (step, rule)
             for (head, step), rules in witnesses.items()
-            if head == step or step in self._component_of.get(head, ())
-        ]
-        in_cycle_rules: set[Rule] = set()
-        for _step, rules in self._cycle_steps:
-            in_cycle_rules.update(rules)
-        self.in_cycle_rules = frozenset(in_cycle_rules)
-        self.in_cycle_atoms = frozenset(rule.head for rule in self.in_cycle_rules)
+            if head == step or step in component_of.get(head, ())
+            for rule in rules
+        ])
+
+    @classmethod
+    def _derived(cls, program: Program, component_of: dict) -> StructuralIndex:
+        """The index of ``program``, whose body literals are all negative,
+        given each atom's multi-atom component: one pass over the rules,
+        no Tarjan pass, and no :attr:`witnesses` for :meth:`on_circuit`."""
+        index = cls.__new__(cls)
+        index._component_of = component_of
+        cycle_steps: list[tuple[str, Rule]] = []
+        for rule in program.rules:
+            head, body = rule
+            if (head, True) in body:
+                cycle_steps.append((head, rule))
+            elif head in component_of:
+                members = component_of[head]
+                cycle_steps += [(atom, rule) for atom, _ in body if atom in members]
+        index._collect(cycle_steps)
+        return index
+
+    def _collect(self, cycle_steps: list[tuple[str, Rule]]) -> None:
+        self._cycle_steps = cycle_steps
+        self.in_cycle_rules = frozenset([rule for _step, rule in cycle_steps])
+        self.in_cycle_atoms = frozenset([rule.head for rule in self.in_cycle_rules])
+
+    def _components_with(self, steps: list[tuple[str, str]]) -> dict[str, set[str]]:
+        """Each atom's multi-atom component, as new sets, once ``steps`` join
+        the step graph: Tarjan runs again only if a step leaves its head's
+        component."""
+        components = self._components
+        if any(step not in self._component_of.get(head, ()) for head, step in steps):
+            successors = defaultdict(list, self._successors)
+            for head, step in steps:
+                successors[head] = [*successors[head], step]
+            components = _components(list(successors), successors)
+        return {atom: members for members in map(set, components) for atom in members}
 
     @cached_property
     def handles(self) -> dict[tuple[Rule, str], tuple[Literal, ...]]:
@@ -296,8 +329,7 @@ class StructuralIndex:
             (rule, step): tuple(
                 lit for lit in rule.body if lit.atom != step or not lit.negated
             )
-            for step, rules in self._cycle_steps
-            for rule in rules
+            for step, rule in self._cycle_steps
         }
 
     def is_auxiliary(self, rule: Rule) -> bool:
@@ -344,29 +376,30 @@ def find_bridges(program: Program) -> tuple[Bridge, ...]:
     ``p :- not p, not c``, which does not witness ``p -> c``: a chain
     back to ``p`` is refused when that self-loop is the one cycle
     through ``p``.
-
-    AND candidates come from the index's cycle steps, not from
-    :attr:`StructuralIndex.handles`: a step's handle is its body minus
-    ``not step``, so only a two-literal body leaves one literal.
     """
-    index = StructuralIndex(program)
+    return _find_bridges(program, StructuralIndex(program))
+
+
+def _find_bridges(program: Program, index: StructuralIndex) -> tuple[Bridge, ...]:
+    """:func:`find_bridges` over the program's index, built or derived. A
+    chain walks through atoms outside every cycle, so only their defining
+    rules are kept. AND candidates come from the cycle steps: a step's
+    handle is its body minus ``not step``, so only a two-literal body
+    leaves one literal."""
     in_cycle_atoms = index.in_cycle_atoms
-    candidates = [
-        (OR_BRIDGE, r, r.body[0])
-        for r in program.rules
-        if len(r.body) == 1 and index.is_auxiliary(r)
-    ]
-    cycle_steps: Counter[str] = Counter()
-    for step, rules in index._cycle_steps:
-        for rule in rules:
-            cycle_steps[rule.head] += 1
-            if len(rule.body) == 2:
-                first, second = rule.body
-                handle = second if first == (step, True) else first
-                candidates.append((AND_BRIDGE, rule, handle))
+    candidates = []
     defining: dict[str, list[Rule]] = defaultdict(list)
     for rule in program.rules:
-        defining[rule.head].append(rule)
+        if rule.head not in in_cycle_atoms:
+            defining[rule.head].append(rule)
+        elif len(rule.body) == 1 and index.is_auxiliary(rule):
+            candidates.append((OR_BRIDGE, rule, rule.body[0]))
+    cycle_steps = Counter([rule.head for _step, rule in index._cycle_steps])
+    for step, rule in index._cycle_steps:
+        if len(rule.body) == 2:
+            first, second = rule.body
+            handle = second if first == (step, True) else first
+            candidates.append((AND_BRIDGE, rule, handle))
     body_count = Counter([atom for rule in program.rules for atom, _ in rule.body])
 
     def walk(first: str) -> tuple[tuple[Rule, ...], str] | None:

@@ -37,7 +37,7 @@ from .cycles import (
     OR_BRIDGE,
     Bridge,
     StructuralIndex,
-    find_bridges,
+    _find_bridges,
 )
 from .errors import BridgeNotFoundError, KernelFormError, ReconstructionError
 from .kernel import check_kernel
@@ -230,6 +230,11 @@ def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
     with ``allow_reserved``. The result is equivalent to the input
     modulo projection over its atoms. Requires kernel form.
     """
+    return _apply(program, _long_rule_steps(program)[1])
+
+
+def _long_rule_steps(program: Program) -> tuple[StructuralIndex, list[TransformStep]]:
+    """The input's index and the steps of :func:`long_rule_simplify`."""
     report = check_kernel(program)
     if not report.is_kernel:
         raise KernelFormError(
@@ -274,7 +279,44 @@ def long_rule_simplify(program: Program) -> tuple[Program, TransformTrace]:
                 notes=tuple(notes),
             )
         )
-    return _apply(program, steps)
+    return index, steps
+
+
+def _expanded_index(
+    index: StructuralIndex, steps: list[TransformStep], expanded: Program
+) -> StructuralIndex:
+    """The index of ``expanded``, the long-rule rewrite by ``steps`` of
+    the program ``index`` indexes, with no Tarjan pass over fresh atoms.
+
+    In kernel form every body literal is negative. A replaced rule
+    ``h :- not b_1, ..., not b_j`` that does not mention ``h`` witnessed
+    the steps ``h -> b_i``; its chain realises each one as the path
+    ``h -> f_1 -> ... -> f_2i -> b_i``, and ``f_2j+1 :- not h`` closes
+    the chain. So reachability among input atoms is unchanged, and every
+    chain atom joins ``h``'s component, which is ``{h}`` and the chain if
+    ``h`` had none. A self-referential rule ``h :- not h, not b, ...``
+    witnessed only ``h -> h``; its chain adds the steps ``h -> b_i``,
+    and these can merge components: ``a :- not a, not b, not c.
+    b :- not c. c :- not a.`` puts ``b`` and ``c`` on a cycle. No step
+    enters a guard from outside it, so each guard is a component of its
+    own.
+    """
+    replaced = [step.removed[0] for step in steps]
+    component_of = index._components_with([
+        (rule.head, atom)
+        for rule in replaced
+        if neg(rule.head) in rule.body
+        for atom, _ in rule.body
+        if atom != rule.head
+    ])
+    for rule, step in zip(replaced, steps):
+        size = 2 * len(rule.body) + 1
+        chain, guard = step.fresh_atoms[:size], step.fresh_atoms[size:]
+        members = component_of.setdefault(rule.head, {rule.head})
+        members.update(chain)
+        component_of.update(dict.fromkeys(chain, members))
+        component_of.update(dict.fromkeys(guard, set(guard)))
+    return StructuralIndex._derived(expanded, component_of)
 
 
 def _chain_formulas(bridge: Bridge) -> tuple[ReconstructionFormula, ...]:
@@ -349,7 +391,9 @@ def three_kernelize(program: Program) -> tuple[Program, TransformTrace]:
 
     Both rewrites produce steps and ``_apply`` applies them, so the
     bridge steps are applied together, as one edit of the long-rule
-    result, and the two traces are composed.
+    result, and the two traces are composed. One structural index is
+    built, on the input. The bridge search reads the long-rule result's
+    index, derived from it by construction (:func:`_expanded_index`).
 
     One detection is enough. Chain atoms lie on no cycle and bridges
     share no rule, so a rewrite, which replaces the path from anchor
@@ -368,11 +412,12 @@ def three_kernelize(program: Program) -> tuple[Program, TransformTrace]:
     sets. Residual structure that the rewrites cannot reach is reported
     by ``check_3kernel`` rather than asserted away.
     """
-    expanded, trace = long_rule_simplify(program)
-    bridge_steps = [_bridge_step(bridge) for bridge in find_bridges(expanded)]
-    result, bridged = _apply(expanded, bridge_steps)
-    steps = trace.steps + bridged.steps
-    return result, TransformTrace(steps, result.atoms, program.atoms)
+    index, steps = _long_rule_steps(program)
+    expanded, _ = _apply(program, steps)
+    bridges = _find_bridges(expanded, _expanded_index(index, steps, expanded))
+    result, bridged = _apply(expanded, [_bridge_step(bridge) for bridge in bridges])
+    steps += bridged.steps
+    return result, TransformTrace(tuple(steps), result.atoms, program.atoms)
 
 
 def reconstruct(
@@ -401,12 +446,17 @@ def reconstruct(
 
 def trace_to_dict(trace: TransformTrace) -> dict:
     """Trace as a JSON-serializable document."""
+    return _trace_dict(trace, {})
+
+
+def _trace_dict(trace: TransformTrace, rendered: dict[Rule, str]) -> dict:
+    """:func:`trace_to_dict`, taking a rule's text from ``rendered`` if there."""
     return {
         "steps": [
             {
                 "kind": step.kind,
-                "removed": [str(rule) for rule in step.removed],
-                "added": [str(rule) for rule in step.added],
+                "removed": [rendered.get(rule) or str(rule) for rule in step.removed],
+                "added": [rendered.get(rule) or str(rule) for rule in step.added],
                 "fresh_atoms": list(step.fresh_atoms),
                 "dropped": [str(formula) for formula in step.dropped],
                 "notes": list(step.notes),

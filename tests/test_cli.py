@@ -197,11 +197,14 @@ def test_3kernelize_trace_is_the_json_module_text(tmp_path_factory, program):
     trace_path = tmp_path_factory.getbasetemp() / "trace.json"
     source.write_text(text)
     argv = ["3kernelize", "--allow-reserved", str(source), "--trace", str(trace_path)]
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    _, trace = three_kernelize(parse_program(text, allow_reserved=True))
+    result, trace = three_kernelize(parse_program(text, allow_reserved=True))
     expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     assert trace_path.read_text(encoding="utf-8") == expected
+    # the trace reuses the output's rule texts, and the output is unchanged
+    assert out.getvalue() == render_program(result)
 
 
 def test_3kernelize_trace_without_steps(tmp_path, capsys):

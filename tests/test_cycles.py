@@ -564,11 +564,11 @@ def test_three_kernelize_finds_bridges_once(monkeypatch, case_i):
     program = case_i_copies(case_i, 40)
     calls = []
 
-    def counting(program):
+    def counting(program, index):
         calls.append(program)
-        return find_bridges(program)
+        return cycles_module._find_bridges(program, index)
 
-    monkeypatch.setattr(normalize_module, "find_bridges", counting)
+    monkeypatch.setattr(normalize_module, "_find_bridges", counting)
     result, trace = three_kernelize(program)
     assert len(calls) == 1
     assert [step.kind for step in trace.steps] == ["or-bridge-even"] * 40

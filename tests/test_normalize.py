@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from aspnf import (
     KernelFormError,
@@ -21,15 +21,28 @@ from aspnf import (
     three_kernelize,
     trace_to_dict,
 )
+from aspnf import cycles as cycles_module
+from aspnf.cycles import StructuralIndex
 from aspnf.errors import BridgeNotFoundError
 from aspnf.model import is_reserved
 from aspnf.normalize import (
     NOTE_CONSTRAINT_GUARD,
     NOTE_REROUTES_CYCLE,
+    _apply,
+    _bridge_step,
+    _expanded_index,
+    _long_rule_steps,
     simplify_and_bridge,
     simplify_or_bridge,
 )
-from conftest import PI5_TEXT, oracle_answer_sets, rename_atoms
+from conftest import (
+    PI5_TEXT,
+    bridged_programs,
+    kernel_expansions,
+    oracle_answer_sets,
+    random_kernel_programs,
+    rename_atoms,
+)
 
 PI5_SIMPLIFIED_TEXT = """
 p :- not p.
@@ -481,3 +494,106 @@ def test_long_rule_per_step_size_counts():
                 guard_atoms = conditions if conditions % 2 == 1 else conditions + 1
             assert len(step.fresh_atoms) == chain_atoms + guard_atoms
             assert len(step.added) == chain_atoms + 1 + guard_atoms
+
+
+# The self-referential long rule's chain adds a -> b and a -> c, which
+# puts b and c on a cycle, though neither was on one in the input.
+MERGE_TEXT = "a :- not a, not b, not c.\nb :- not c.\nc :- not a.\n"
+# Two long auxiliary rules with one head: both chains join {a, e}.
+TWO_LONG_RULES_TEXT = (
+    "a :- not e. e :- not a. a :- not b, not c. a :- not c, not d."
+    " b :- not c. c :- not b. d :- not d."
+)
+# A long auxiliary rule whose head has only a bare self-loop: no guard,
+# and the head's component is the head and its chain.
+BARE_SELF_LOOP_TEXT = "a :- not a. a :- not b, not c. b :- not c. c :- not b."
+INDEX_EXAMPLES = (MERGE_TEXT, TWO_LONG_RULES_TEXT, BARE_SELF_LOOP_TEXT)
+
+
+def index_summary(index):
+    """Components as a set of sets, in-cycle rules and atoms, and the
+    cycle steps as (step, rule) pairs."""
+    return (
+        {frozenset(members) for members in index._component_of.values()},
+        index.in_cycle_rules,
+        index.in_cycle_atoms,
+        set(index._cycle_steps),
+    )
+
+
+index_draws = st.one_of(random_kernel_programs, kernel_expansions, bridged_programs())
+
+
+def test_index_examples_are_long_kernel_programs():
+    for text in INDEX_EXAMPLES:
+        program = parse_program(text)
+        assert check_kernel(program).is_kernel
+        assert long_rule_simplify(program)[1].steps
+    # in the merge example, b and c join a cycle only through the rewrite
+    program = parse_program(MERGE_TEXT)
+    assert StructuralIndex(program).in_cycle_atoms == {"a"}
+    expanded = long_rule_simplify(program)[0]
+    assert {"b", "c"} <= StructuralIndex(expanded).in_cycle_atoms
+    steps = long_rule_simplify(parse_program(TWO_LONG_RULES_TEXT))[1].steps
+    assert [step.removed[0].head for step in steps] == ["a", "a"]
+    steps = long_rule_simplify(parse_program(BARE_SELF_LOOP_TEXT))[1].steps
+    assert [step.notes for step in steps] == [()]
+
+
+@example(parse_program(MERGE_TEXT))
+@example(parse_program(TWO_LONG_RULES_TEXT))
+@example(parse_program(BARE_SELF_LOOP_TEXT))
+@given(index_draws)
+def test_expanded_index_is_the_index_of_the_expansion(program):
+    assume(check_kernel(program).is_kernel)
+    index, steps = _long_rule_steps(program)
+    expanded, _ = _apply(program, steps)
+    derived = _expanded_index(index, steps, expanded)
+    assert index_summary(derived) == index_summary(StructuralIndex(expanded))
+
+
+@example(parse_program(MERGE_TEXT))
+@example(parse_program(TWO_LONG_RULES_TEXT))
+@example(parse_program(BARE_SELF_LOOP_TEXT))
+@given(index_draws)
+def test_three_kernelize_is_the_composition_of_its_rewrites(program):
+    assume(check_kernel(program).is_kernel)
+    expanded, trace = long_rule_simplify(program)
+    steps = [_bridge_step(bridge) for bridge in find_bridges(expanded)]
+    result, bridged = _apply(expanded, steps)
+    assert three_kernelize(program) == (
+        result,
+        TransformTrace(trace.steps + bridged.steps, result.atoms, program.atoms),
+    )
+
+
+def test_three_kernelize_runs_tarjan_over_input_atoms_only(monkeypatch, pi5, case_i):
+    calls = []
+    components = cycles_module._components
+
+    def recording(atoms, successors):
+        calls.append(list(atoms))
+        return components(atoms, successors)
+
+    built = []
+    init = StructuralIndex.__init__
+
+    def counting_init(self, program):
+        built.append(program)
+        init(self, program)
+
+    monkeypatch.setattr(cycles_module, "_components", recording)
+    monkeypatch.setattr(StructuralIndex, "__init__", counting_init)
+    samples = [pi5, case_i, *map(parse_program, INDEX_EXAMPLES)]
+    samples += [random_kernel_program(8, 13, max_body=3, seed=s) for s in range(40)]
+    for program in samples:
+        calls.clear()
+        built.clear()
+        result, trace = three_kernelize(program)
+        assert built == [program]
+        assert calls
+        for atoms in calls:
+            assert not any(is_reserved(atom) for atom in atoms)
+            assert len(atoms) <= len(program.atoms)
+    # the samples do rewrite long rules, so fresh atoms were there to index
+    assert any(is_reserved(atom) for atom in result.atoms)
