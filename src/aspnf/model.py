@@ -92,6 +92,12 @@ class Rule(_RuleFields):
         return f"{self.head} :- {body}."
 
 
+def _rule(head: str, body: tuple[Literal, ...]) -> Rule:
+    """``Rule(head, body)`` for a body that repeats no literal, without
+    ``Rule.__new__``'s de-duplication."""
+    return tuple.__new__(Rule, (head, body))
+
+
 @dataclass(frozen=True)
 class Program:
     """An ordered, duplicate-free sequence of rules.

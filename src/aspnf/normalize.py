@@ -41,7 +41,7 @@ from .cycles import (
 )
 from .errors import BridgeNotFoundError, KernelFormError, ReconstructionError
 from .kernel import check_kernel
-from .model import Program, Rule, fresh_tags, neg, pos
+from .model import Program, Rule, _rule, fresh_tags, neg, pos
 from .semantics import well_founded
 
 CONDITION_LABELS = {
@@ -189,12 +189,13 @@ def _guard_cycle(conditions: list[str], tag: int) -> tuple[list[Rule], list[str]
     count = len(conditions)
     length = count if count % 2 == 1 else count + 1
     atoms = [f"__g{tag}_{i}" for i in range(length)]
+    # no body repeats a literal: fresh atoms never equal input atoms
     rules = [
-        Rule(atoms[i], (neg(atoms[(i + 1) % length]), neg(conditions[i])))
+        _rule(atoms[i], (neg(atoms[(i + 1) % length]), neg(conditions[i])))
         for i in range(count)
     ]
     if length > count:
-        rules.append(Rule(atoms[count], (neg(atoms[0]),)))
+        rules.append(_rule(atoms[count], (neg(atoms[0]),)))
     return rules, atoms
 
 
@@ -255,13 +256,14 @@ def _long_rule_steps(program: Program) -> tuple[StructuralIndex, list[TransformS
         tag = next(tags)
         conditions = [lit.atom for lit in rule.body]  # all negative in kernel form
         fresh = [f"__h{tag}_{i}" for i in range(1, 2 * j + 2)]
-        added = [Rule(rule.head, (neg(fresh[0]),))]
+        # no body repeats a literal: fresh atoms never equal input atoms
+        added = [_rule(rule.head, (neg(fresh[0]),))]
         for i, condition in enumerate(conditions, start=1):
-            added.append(Rule(fresh[2 * i - 2], (neg(fresh[2 * i - 1]),)))
+            added.append(_rule(fresh[2 * i - 2], (neg(fresh[2 * i - 1]),)))
             added.append(
-                Rule(fresh[2 * i - 1], (neg(fresh[2 * i]), neg(condition)))
+                _rule(fresh[2 * i - 1], (neg(fresh[2 * i]), neg(condition)))
             )
-        added.append(Rule(fresh[2 * j], (neg(rule.head),)))
+        added.append(_rule(fresh[2 * j], (neg(rule.head),)))
         notes = [NOTE_REROUTES_CYCLE] if long_in_cycle else []
         if rule.head not in self_loops:
             guard_conditions = [rule.head]

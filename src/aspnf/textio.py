@@ -33,59 +33,58 @@ transformations in this package.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import AspnfError, ReservedAtomError
-from .model import (
-    ARG,
-    NAME,
-    Literal,
-    Program,
-    Rule,
-    fresh_tags,
-    is_reserved,
-    neg,
-)
+from .model import ARG, NAME, Literal, Program, Rule, fresh_tags, is_reserved, neg
 
-# Whitespace and comments. A comment must reach the end of its line, so
-# backtracking in the patterns below can never shorten one.
-_T = r"[ \t\r\n]*(?:%[^\n]*(?![^\n])[ \t\r\n]*)*"
+# The parser rests on two facts. First, every ``%`` comment is blanked
+# out with as many spaces before matching: a comment runs to the end of
+# its line and holds no newline, so no offset, line or column moves, and
+# trivia is plain whitespace. Second, the tokens cover the text: ``_T``
+# takes all the whitespace, and after it some alternative of ``_TOKEN``
+# always matches (``other`` takes any one character, or the end).
+_COMMENT = re.compile(r"%[^\n]*")
+_T = r"[ \t\r\n]*"
 _TRIVIA = re.compile(_T)
-_BLANK = re.compile(r"[ \t\r\n]+|%[^\n]*")
 _NOT = r"not(?![A-Za-z0-9_])"
-_ARG = rf"{_T}(?:{ARG.pattern}){_T}"
 
 
 def _atom(excluded: str) -> str:
-    """ATOM, skipping names that start with ``excluded``. An argument
-    list is the group ``args`` when it holds no blank or comment, else
-    the group ``spaced``, which ``_flat`` strips."""
+    """ATOM, skipping names that start with ``excluded``: the group
+    ``name``, with an argument list that holds no blank, else the group
+    ``spaced``, whose blanks the caller strips. The look-behind allows
+    at most one argument list."""
     arg = rf"(?:{ARG.pattern})"
+    spaced = rf"{_T}{arg}{_T}"
     return (
-        rf"(?!{excluded})(?P<name>{NAME.pattern})"
-        rf"(?:{_T}(?:(?P<args>\({arg}(?:,{arg})*\))"
-        rf"|(?P<spaced>\({_ARG}(?:,{_ARG})*\))))?"
+        rf"(?!{excluded})(?P<name>{NAME.pattern}(?:\({arg}(?:,{arg})*\))?)"
+        rf"(?:(?<!\)){_T}(?P<spaced>\({spaced}(?:,{spaced})*\)))?"
     )
 
 
-# Indexed by ``allow_reserved``. One match per rule head and one per
-# body literal, each taking in the trivia before it and the separator
-# after it. Names the patterns skip are left to ``_locate``.
+# Indexed by ``allow_reserved``. A token is a literal (an optional
+# ``not`` and an atom) with its separator, a bare ``:-``, the end of
+# the text, or one character that starts no token; each takes in the
+# trivia before it. Names the pattern skips are left to ``_locate``.
 _EXCLUDED = (f"{_NOT}|__", _NOT)
-_RULE_START = tuple(
+_TOKEN = tuple(
     re.compile(
-        rf"{_T}(?:(?P<atom>{_atom(x)}){_T}(?P<sep>\.|:-)|(?P<constraint>:-)|\Z)"
+        rf"{_T}(?:(?:(?P<neg>{_NOT}){_T})?{_atom(x)}{_T}(?P<sep>[,.]|:-)"
+        rf"|(?P<other>:-|.|\Z))"
     )
-    for x in _EXCLUDED
-)
-_LITERAL = tuple(
-    re.compile(rf"{_T}(?P<neg>{_NOT}{_T})?{_atom(x)}{_T}(?P<sep>[,.])")
     for x in _EXCLUDED
 )
 _LIST_ENTRY = re.compile(rf"{_T}(?:{_atom(_NOT)}{_T})?(?:(?P<comma>,)|\Z)")
 _GUARD_NAME = re.compile(r"__c_(\d+)")
+
+
+def _blank(text: str) -> str:
+    """``text`` with each comment replaced by as many spaces."""
+    return _COMMENT.sub(lambda m: " " * len(m.group()), text)
 
 
 @dataclass(frozen=True)
@@ -107,60 +106,51 @@ class ParseError(AspnfError):
 
 def parse_program(text: str, *, allow_reserved: bool = False) -> Program:
     """Parse program text; see the module docstring for the grammar."""
-    match_head = _RULE_START[allow_reserved].match
-    match_literal = _LITERAL[allow_reserved].match
-    # ``Literal``'s own ``__new__`` is a Python function; this is its body.
-    new_literal = tuple.__new__
+    text = _blank(text)
+    token = _TOKEN[allow_reserved]
+    # ``Literal``'s and ``Rule``'s own ``__new__`` are Python functions;
+    # this is their body, with ``Rule``'s de-duplication inline.
+    new = tuple.__new__
     rules: list[Rule] = []
     # indices of ":- body." rules; their guards are named once every
     # atom of the input is known
     constraints: list[int] = []
-    pos = 0
-    while True:
-        m = match_head(text, pos)
-        if m is None:
-            _locate(text, pos, True, allow_reserved)
-        atom, name, args, spaced, sep, constraint = m.groups()
-        pos = m.end()
-        if atom is not None:
-            head = _flat(name, args, spaced)
-            if sep == ".":
-                rules.append(Rule(head))
+    head = None  # the head of the rule being read, None between rules
+    body: list[Literal] = []
+    for k, (negated, name, spaced, sep, other) in enumerate(token.findall(text)):
+        if spaced:
+            name += _TRIVIA.sub("", spaced)
+        if head is None:
+            if not name:
+                if other == ":-":
+                    head = ""
+                    constraints.append(len(rules))
+                    continue
+                if not other:
+                    break
+            elif not negated and sep != ",":
+                if sep == ".":
+                    rules.append(new(Rule, (name, ())))
+                else:
+                    head = name
                 continue
-        elif constraint is None:
-            break
-        else:
-            head = ""
-            constraints.append(len(rules))
-        body: list[Literal] = []
-        while True:
-            m = match_literal(text, pos)
-            if m is None:
-                _locate(text, pos, False, allow_reserved)
-            negated, name, args, spaced, sep = m.groups()
-            if args is not None:
-                name += args
-            elif spaced is not None:
-                name = _flat(name, args, spaced)
-            body.append(new_literal(Literal, (name, negated is not None)))
-            pos = m.end()
+        elif name and sep != ":-":
+            body.append(new(Literal, (name, negated != "")))
             if sep == ".":
-                break
-        rules.append(Rule(head, body))
+                unique = tuple(dict.fromkeys(body)) if len(body) > 1 else tuple(body)
+                rules.append(new(Rule, (head, unique)))
+                head = None
+                body = []
+            continue
+        # the first token that does not fit: re-walk it from its start
+        start = next(itertools.islice(token.finditer(text), k, None)).start()
+        _locate(text, start, head is None, allow_reserved)
     if constraints:
         tags = fresh_tags(Program(tuple(rules)).atoms, _GUARD_NAME)
         for i in constraints:
             guard = f"__c_{next(tags)}"
             rules[i] = Rule(guard, (neg(guard),) + rules[i].body)
     return Program(tuple(rules))
-
-
-def _flat(name: str, args: str | None, spaced: str | None) -> str:
-    """``color(0, red)`` as the single atom ``color(0,red)``; only an
-    argument list with blanks or comments (``spaced``) is rewritten."""
-    if args is not None:
-        return name + args
-    return name if spaced is None else name + _BLANK.sub("", spaced)
 
 
 def _span(text: str, offset: int) -> SourceSpan:
@@ -174,8 +164,8 @@ def _fail(message: str, text: str, offset: int) -> NoReturn:
 
 def _locate(text: str, pos: int, head: bool, allow_reserved: bool) -> NoReturn:
     """Re-walk the rule head or body literal at ``pos`` token by token
-    and raise the first error in it; called only when its pattern did
-    not match."""
+    and raise the first error in it; called only at a token that does
+    not fit there."""
 
     def skip(offset: int) -> int:
         return _TRIVIA.match(text, offset).end()
@@ -225,15 +215,16 @@ def split_atom_list(text: str) -> list[str]:
     are dropped; a malformed entry raises :class:`AspnfError`.
     """
     atoms: list[str] = []
+    blanked = _blank(text)
     pos = 0
     while True:
-        m = _LIST_ENTRY.match(text, pos)
+        m = _LIST_ENTRY.match(blanked, pos)
         if m is None:
-            column = _TRIVIA.match(text, pos).end() + 1
+            column = _TRIVIA.match(blanked, pos).end() + 1
             raise AspnfError(f"malformed atom list {text!r} at column {column}")
-        name, args, spaced, comma = m.groups()
+        name, spaced, comma = m.groups()
         if name is not None:
-            atoms.append(_flat(name, args, spaced))
+            atoms.append(name + _TRIVIA.sub("", spaced or ""))
         if comma is None:
             return atoms
         pos = m.end()

@@ -139,6 +139,13 @@ def test_constraint_guard_skips_names_in_input():
         ("p(__x).", ParseError, 1, 3, "expected argument"),
         ("p(12x).", ParseError, 1, 5, "expected ',' or ')'"),
         ("p(a,)", ParseError, 1, 5, "expected argument"),
+        # errors at the first token that does not fit the rule
+        ("a % c", ParseError, 1, 6, "expected '.' or ':-'"),
+        ("p(a,1)\n(b).", ParseError, 2, 1, "expected '.' or ':-'"),
+        ("a :- b :- c.", ParseError, 1, 8, "expected '.'"),
+        ("a :- :- b.", ParseError, 1, 6, "expected atom"),
+        ("a :- b.\r\nc :- d.\r\ne :- f g.", ParseError, 3, 8, "expected '.'"),
+        ("a :- not b.\n" * 500 + "c :- d e.", ParseError, 501, 8, "expected '.'"),
     ],
 )
 def test_error_spans(text, error, line, column, message):
@@ -179,6 +186,37 @@ def test_whitespace_and_comments_insignificant(pi6):
     assert parse_program(noisy) == pi6
     assert render_program(parse_program("p( a % c\n , 1 ).")) == "p(a,1).\n"
     assert render_program(parse_program("a :- b % c.\n, d.")) == "a :- b, d.\n"
+
+
+# Trivia the parser must skip between any two tokens: blanks, tabs,
+# line ends, and comments that hold separators or another "%".
+TRIVIA = ["", " ", "\t", "\r\n", "\n", "% c. d\n", "%, :- %\r\n", "%\n"]
+RENDERED_TOKEN = re.compile(r"[A-Za-z0-9_]+|:-|[(),.]")
+
+
+@given(programs(), st.data())
+def test_trivia_at_token_boundaries_is_insignificant(program, data):
+    # Property form of test_whitespace_and_comments_insignificant: some
+    # atoms get argument lists, and trivia goes between every two tokens
+    # of the rendered program, inside argument lists too, with a last
+    # comment that may lack its newline.
+    rng = data.draw(st.randoms(use_true_random=False))
+    spelled = {
+        atom: rng.choice(["{}", "p({},1)", "q(0,{})"]).format(atom)
+        for atom in sorted(program.atoms)
+    }
+    program = Program(
+        tuple(
+            Rule(spelled[r.head], tuple(Literal(spelled[a], n) for a, n in r.body))
+            for r in program.rules
+        )
+    )
+    text = rng.choice(TRIVIA)
+    for token in RENDERED_TOKEN.findall(render_program(program)):
+        # "not" needs some trivia before its atom
+        text += token + rng.choice(TRIVIA[1:] if token == "not" else TRIVIA)
+    text += rng.choice(["", "% end", "% .,:-%"])
+    assert parse_program(text) == program
 
 
 def test_export_dot_empty():
@@ -310,3 +348,11 @@ def test_split_atom_list_reads_atoms_like_programs():
     for text in ["A b, c", "a b", "not", "p(0", "a; b"]:
         with pytest.raises(AspnfError):
             split_atom_list(text)
+
+
+def test_split_atom_list_error_quotes_its_input_as_given():
+    assert split_atom_list("a, b % c, d\n") == ["a", "b"]
+    text = "a, b % c\n d"
+    with pytest.raises(AspnfError) as err:
+        split_atom_list(text)
+    assert str(err.value) == f"malformed atom list {text!r} at column 4"
