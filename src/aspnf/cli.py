@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .errors import AspnfError
 from .generate import decode_3col, encode_3col, graph, random_kernel_program
@@ -108,29 +107,6 @@ def _cmd_antichain2kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for dicts, lists and strings,
-    built by joins: with ``indent`` the json module falls back to its
-    pure-Python encoder, which yields one chunk per token."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if not value:
-        return "{}" if type(value) is dict else "[]"
-    inner = indent + "  "
-    separator = ",\n" + inner
-    if type(value) is dict:
-        body = separator.join([
-            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-            for key, item in value.items()
-        ])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    body = separator.join([
-        encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
-        for item in value
-    ])
-    return f"[\n{inner}{body}\n{indent}]"
-
-
 def _cmd_3kernelize(args: argparse.Namespace) -> int:
     result, trace = three_kernelize(_read_program(args))
     text = render_program(result)
@@ -138,7 +114,7 @@ def _cmd_3kernelize(args: argparse.Namespace) -> int:
         # the trace takes the text of each rule of the result from the output
         rendered = dict(zip(result.rules, text.split("\n")))
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(_json_text(_trace_dict(trace, rendered)) + "\n")
+            handle.write(json.dumps(_trace_dict(trace, rendered)) + "\n")
     print(text, end="")
     return 0
 

@@ -121,7 +121,9 @@ def find_cycles(
             component = pending.pop()
             start = min(component)
             yield from _paths(start, start, set(component), successors)
-            pending += _components([a for a in component if a != start], successors)
+            rest = set(component) - {start}
+            graph = {a: [b for b in successors[a] if b in rest] for a in rest}
+            pending += _components(graph)
 
     cycles: list[Cycle] = []
     for circuit in circuits():
@@ -136,18 +138,15 @@ def find_cycles(
     return tuple(cycles)
 
 
-def _components(
-    atoms: list[str], successors: dict[str, list[str]]
-) -> list[list[str]]:
+def _components(successors: dict[str, list[str]]) -> list[list[str]]:
     """Strongly connected components with more than one atom of the
-    subgraph induced by ``atoms`` (Tarjan's algorithm, iteratively)."""
-    inside = set(atoms)
+    graph ``successors`` (Tarjan's algorithm, iteratively)."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
     on_stack: set[str] = set()
     found: list[list[str]] = []
-    for root in atoms:
+    for root in successors:
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -157,8 +156,6 @@ def _components(
         while work:
             atom, unexplored = work[-1]
             for successor in unexplored:
-                if successor not in inside:
-                    continue
                 if successor not in index:
                     index[successor] = low[successor] = len(index)
                     stack.append(successor)
@@ -274,7 +271,7 @@ class StructuralIndex:
                 successors[source].append(target)
         self.witnesses = witnesses
         self._successors = successors
-        self._components = _components(list(successors), successors)
+        self._components = _components(successors)
         component_of = self._component_of = {
             atom: members for members in map(set, self._components) for atom in members
         }
@@ -318,7 +315,7 @@ class StructuralIndex:
             successors = defaultdict(list, self._successors)
             for head, step in steps:
                 successors[head] = [*successors[head], step]
-            components = _components(list(successors), successors)
+            components = _components(successors)
         return {atom: members for members in map(set, components) for atom in members}
 
     @cached_property

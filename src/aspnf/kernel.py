@@ -24,7 +24,7 @@ from typing import Iterable
 from .errors import AspnfError, ReservedAtomError
 from .model import Program, Rule, is_reserved, neg
 from .semantics import enumerate_answer_sets, well_founded
-from .textio import split_atom_list
+from .textio import ParseError, split_atom_list
 
 COND_WFS_IRREDUCIBLE = "wfs-irreducible"
 COND_NEGATIVE_BODIES = "negative-bodies-only"
@@ -201,17 +201,18 @@ def parse_antichain(text: str) -> AntiChain:
     universe: frozenset[str] | None = None
     components: list[frozenset[str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%", 1)[0].strip()
+        line = raw.split("%", 1)[0].rstrip()
         if not line:
             continue
-        if line.startswith("#universe"):
+        if line.lstrip().startswith("#universe"):
             if universe is not None:
                 raise AspnfError(f"line {lineno}: duplicate #universe header")
-            universe = frozenset(_split_atoms(line[len("#universe") :], lineno))
+            start = line.index("#universe") + len("#universe")
+            universe = frozenset(_split_atoms(line, start, lineno))
             continue
         if universe is None:
             raise AspnfError(f"line {lineno}: expected '#universe' header first")
-        components.append(frozenset(_split_atoms(line, lineno)))
+        components.append(frozenset(_split_atoms(line, 0, lineno)))
     if universe is None:
         raise AspnfError("missing '#universe' header")
     try:
@@ -220,11 +221,12 @@ def parse_antichain(text: str) -> AntiChain:
         raise AspnfError(str(exc)) from exc
 
 
-def _split_atoms(chunk: str, lineno: int) -> list[str]:
-    chunk = chunk.strip()
-    if not chunk.endswith("."):
+def _split_atoms(line: str, start: int, lineno: int) -> list[str]:
+    """The atoms of the dot-terminated list ``line[start:]``."""
+    if not line.endswith("."):
         raise AspnfError(f"line {lineno}: expected '.' at end of line")
     try:
-        return split_atom_list(chunk[:-1])
-    except AspnfError as exc:
-        raise AspnfError(f"line {lineno}: {exc}") from exc
+        return split_atom_list(line[start:-1])
+    except ParseError as exc:
+        column = start + exc.span.column
+        raise AspnfError(f"line {lineno}, column {column}: {exc.reason}") from exc

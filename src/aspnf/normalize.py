@@ -97,12 +97,6 @@ def check_3kernel(program: Program) -> ThreeKernelReport:
         violations.append(ThreeKernelViolation(1, atom))
     for atom in sorted(program.atoms - index.in_cycle_atoms):
         violations.append(ThreeKernelViolation(2, atom))
-    for rule in program.rules:
-        if rule not in index.in_cycle_rules and not index.is_auxiliary(rule):
-            violations.append(ThreeKernelViolation(3, rule))
-    for rule in program.rules:
-        if rule in index.in_cycle_rules and len(rule.body) > 2:
-            violations.append(ThreeKernelViolation(4, rule))
     # each rule's flagged atoms, shared by its handles at every step
     flagged: defaultdict[Rule, set[str]] = defaultdict(set)
     for (rule, step), handle in index.handles.items():
@@ -110,12 +104,18 @@ def check_3kernel(program: Program) -> ThreeKernelReport:
         for lit in handle:
             if lit.atom not in found and index.on_circuit(rule.head, step, lit.atom):
                 found.add(lit.atom)
+    # conditions 3 to 6, one pass: an in-cycle rule is never auxiliary
+    three, four, five, six = [], [], [], []
     for rule in program.rules:
-        violations += [ThreeKernelViolation(5, rule)] * len(flagged.get(rule, ()))
-    for rule in program.rules:
-        if index.is_auxiliary(rule) and len(rule.body) != 1:
-            violations.append(ThreeKernelViolation(6, rule))
-    return ThreeKernelReport(tuple(violations))
+        if rule in index.in_cycle_rules:
+            if len(rule.body) > 2:
+                four.append(ThreeKernelViolation(4, rule))
+            five += [ThreeKernelViolation(5, rule)] * len(flagged.get(rule, ()))
+        elif not index.is_auxiliary(rule):
+            three.append(ThreeKernelViolation(3, rule))
+        elif len(rule.body) != 1:
+            six.append(ThreeKernelViolation(6, rule))
+    return ThreeKernelReport(tuple(violations + three + four + five + six))
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,8 @@ def split_atom_list(text: str) -> list[str]:
     rule of the program grammar.
 
     ``color(0, red), b`` yields ``["color(0,red)", "b"]``. Empty entries
-    are dropped; a malformed entry raises :class:`AspnfError`.
+    are dropped; a malformed entry raises :class:`ParseError` at the
+    line and column where the entry starts.
     """
     atoms: list[str] = []
     blanked = _blank(text)
@@ -220,8 +221,8 @@ def split_atom_list(text: str) -> list[str]:
     while True:
         m = _LIST_ENTRY.match(blanked, pos)
         if m is None:
-            column = _TRIVIA.match(blanked, pos).end() + 1
-            raise AspnfError(f"malformed atom list {text!r} at column {column}")
+            start = _TRIVIA.match(blanked, pos).end()
+            _fail(f"malformed atom list {text!r}", text, start)
         name, spaced, comma = m.groups()
         if name is not None:
             atoms.append(name + _TRIVIA.sub("", spaced or ""))

@@ -20,7 +20,7 @@ from aspnf import (
     three_kernelize,
     trace_to_dict,
 )
-from aspnf.cli import _json_text, main
+from aspnf.cli import main
 from conftest import (
     CASE_II_TEXT,
     PI5_TEXT,
@@ -201,7 +201,7 @@ def test_3kernelize_trace_is_the_json_module_text(tmp_path_factory, program):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     result, trace = three_kernelize(parse_program(text, allow_reserved=True))
-    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    expected = json.dumps(trace_to_dict(trace)) + "\n"
     assert trace_path.read_text(encoding="utf-8") == expected
     # the trace reuses the output's rule texts, and the output is unchanged
     assert out.getvalue() == render_program(result)
@@ -212,24 +212,7 @@ def test_3kernelize_trace_without_steps(tmp_path, capsys):
     source.write_text("a :- not b.\nb :- not a.\n")
     trace_path = tmp_path / "trace.json"
     assert main(["3kernelize", str(source), "--trace", str(trace_path)]) == 0
-    assert trace_path.read_text() == (
-        '{\n  "steps": [],\n  "surviving_atoms": [\n    "a",\n    "b"\n  ]\n}\n'
-    )
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        {},
-        [],
-        "",
-        {"a": [], "b": {}, "c": [[], [{}]]},
-        ["quote \" and \\ back", "tab\tnew\nline", "caf\u00e9 \u2603 \U0001f600"],
-        {"steps": [{"kind": "x", "removed": ["h :- not a."], "notes": []}]},
-    ],
-)
-def test_json_text_matches_the_json_module(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    assert trace_path.read_text() == '{"steps": [], "surviving_atoms": ["a", "b"]}\n'
 
 
 def test_3kernelize_unwritable_trace_prints_nothing(tmp_path, capsys):

@@ -254,3 +254,22 @@ def test_antichain_parse_errors():
         parse_antichain("#universe a\n")  # missing dot
     with pytest.raises(AspnfError):
         parse_antichain("#universe a.\n#universe b.\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the column counts the header and the blanks before the entry
+        ("#universe  a, b c.\n", "line 1, column 15: malformed atom list '  a, b c'"),
+        (
+            "% header\n  #universe a.\n  a, b c. % c\n",
+            "line 3, column 6: malformed atom list '  a, b c'",
+        ),
+    ],
+)
+def test_antichain_parse_error_names_the_column_in_its_line(text, message):
+    from aspnf import AspnfError
+
+    with pytest.raises(AspnfError) as err:
+        parse_antichain(text)
+    assert str(err.value) == message

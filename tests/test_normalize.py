@@ -571,9 +571,9 @@ def test_three_kernelize_runs_tarjan_over_input_atoms_only(monkeypatch, pi5, cas
     calls = []
     components = cycles_module._components
 
-    def recording(atoms, successors):
-        calls.append(list(atoms))
-        return components(atoms, successors)
+    def recording(successors):
+        calls.append(set(successors).union(*successors.values()))
+        return components(successors)
 
     built = []
     init = StructuralIndex.__init__

@@ -355,4 +355,19 @@ def test_split_atom_list_error_quotes_its_input_as_given():
     text = "a, b % c\n d"
     with pytest.raises(AspnfError) as err:
         split_atom_list(text)
-    assert str(err.value) == f"malformed atom list {text!r} at column 4"
+    assert str(err.value) == f"line 1, column 4: malformed atom list {text!r}"
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("a,\nb c", 2, 1),
+        # leading blanks count: the column is that of the text as given
+        ("a, b,\n  c d, e", 2, 3),
+    ],
+)
+def test_split_atom_list_error_names_line_and_column(text, line, column):
+    with pytest.raises(ParseError) as err:
+        split_atom_list(text)
+    assert (err.value.span.line, err.value.span.column) == (line, column)
+    assert str(err.value).startswith(f"line {line}, column {column}: ")
