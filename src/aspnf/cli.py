@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import AspnfError
@@ -113,8 +114,19 @@ def _cmd_3kernelize(args: argparse.Namespace) -> int:
     if args.trace:
         # the trace takes the text of each rule of the result from the output
         rendered = dict(zip(result.rules, text.split("\n")))
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(_trace_dict(trace, rendered)) + "\n")
+        data = (json.dumps(_trace_dict(trace, rendered)) + "\n").encode()
+        # Overwritten in place, not opened with O_TRUNC: truncating frees
+        # the old file's blocks only for the write to allocate new ones,
+        # which costs over ten times the write of a few kB. A crash mid-write
+        # can then leave old bytes after new ones, where a truncating write
+        # leaves a short file; either way the trace is broken. Pipes and
+        # devices report size 0, so they are never truncated.
+        fd = os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as handle:
+            old_size = os.fstat(fd).st_size
+            handle.write(data)
+            if old_size > len(data):
+                handle.truncate()
     print(text, end="")
     return 0
 

@@ -23,10 +23,16 @@ one function, ``_apply``, turns a list of steps into the rewritten
 program and its :class:`TransformTrace`, from which ``reconstruct``
 maps answer sets of the transformed program back onto the original
 language.
+
+Each ``three_kernelize`` call gives the ``aspnf`` logger one debug
+record per step, beside the records of ``semantics``; its dict holds
+the step's kind, the numbers of rules removed and added, and its fresh
+atoms.
 """
 
 from __future__ import annotations
 
+import logging
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -55,6 +61,8 @@ CONDITION_LABELS = {
 
 NOTE_REROUTES_CYCLE = "reroutes-cycle"
 NOTE_CONSTRAINT_GUARD = "constraint-guard"
+
+_log = logging.getLogger("aspnf")
 
 
 @dataclass(frozen=True)
@@ -419,6 +427,18 @@ def three_kernelize(program: Program) -> tuple[Program, TransformTrace]:
     bridges = _find_bridges(expanded, _expanded_index(index, steps, expanded))
     result, bridged = _apply(expanded, [_bridge_step(bridge) for bridge in bridges])
     steps += bridged.steps
+    if _log.isEnabledFor(logging.DEBUG):
+        for step in steps:
+            _log.debug(
+                "three_kernelize: %(kind)s step, %(removed)d rules removed, "
+                "%(added)d added, fresh atoms %(fresh_atoms)s",
+                {
+                    "kind": step.kind,
+                    "removed": len(step.removed),
+                    "added": len(step.added),
+                    "fresh_atoms": step.fresh_atoms,
+                },
+            )
     return result, TransformTrace(tuple(steps), result.atoms, program.atoms)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import glob
 import io
 import json
@@ -193,6 +194,9 @@ def test_3kernelize_with_trace(tmp_path, capsys):
 def test_3kernelize_trace_is_the_json_module_text(tmp_path_factory, program):
     assume(check_kernel(program).is_kernel)
     text = render_program(program)
+    # One trace path for every example, on purpose: each write overwrites
+    # the last example's trace, so this is the check that no stale tail
+    # of a longer trace is left behind.
     source = tmp_path_factory.getbasetemp() / "traced.lp"
     trace_path = tmp_path_factory.getbasetemp() / "trace.json"
     source.write_text(text)
@@ -222,8 +226,68 @@ def test_3kernelize_unwritable_trace_prints_nothing(tmp_path, capsys):
     assert main(["3kernelize", str(source), "--trace", str(trace_path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err == (
+        f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+        f"{str(trace_path)!r}\n"
+    )
     assert not trace_path.exists()
+
+
+def test_3kernelize_directory_trace_path_prints_nothing(tmp_path, capsys):
+    source = tmp_path / "case2.lp"
+    source.write_text(CASE_II_TEXT)
+    assert main(["3kernelize", str(source), "--trace", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+        f"{str(tmp_path)!r}\n"
+    )
+
+
+# merge.lp's trace has one long-rule step; even.lp's has none and is shorter.
+MERGE_TEXT = "a :- not a, not b, not c.\nb :- not c.\nc :- not a.\n"
+EVEN_TEXT = "a :- not b.\nb :- not a.\n"
+
+
+def _write_trace(tmp_path, text, trace_path):
+    source = tmp_path / "source.lp"
+    source.write_text(text)
+    assert main(["3kernelize", str(source), "--trace", str(trace_path)]) == 0
+    return trace_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(MERGE_TEXT, EVEN_TEXT), (EVEN_TEXT, MERGE_TEXT)],
+    ids=["longer-first", "shorter-first"],
+)
+def test_3kernelize_trace_overwrites_in_place(first, second, tmp_path, capsys):
+    fresh = _write_trace(tmp_path, second, tmp_path / "fresh.json")
+    trace_path = tmp_path / "trace.json"
+    assert len(_write_trace(tmp_path, first, trace_path)) != len(fresh)
+    inode = trace_path.stat().st_ino
+    assert _write_trace(tmp_path, second, trace_path) == fresh
+    assert trace_path.stat().st_ino == inode
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX null device")
+def test_3kernelize_trace_to_the_null_device(tmp_path, capsys):
+    source = tmp_path / "merge.lp"
+    source.write_text(MERGE_TEXT)
+    assert main(["3kernelize", str(source), "--trace", os.devnull]) == 0
+    result, _ = three_kernelize(parse_program(MERGE_TEXT))
+    assert capsys.readouterr().out == render_program(result)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_3kernelize_trace_to_a_full_device_prints_nothing(tmp_path, capsys):
+    source = tmp_path / "merge.lp"
+    source.write_text(MERGE_TEXT)
+    assert main(["3kernelize", str(source), "--trace", "/dev/full"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_3kernelize_output_reparses(pi5_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 
 import pytest
@@ -309,6 +310,32 @@ def test_three_kernelize_case_ii(case_ii):
     assert result == parse_program("p :- not p. p :- a. a :- not b. b :- not a.")
     assert [s.kind for s in trace.steps] == ["or-bridge-odd"]
     assert check_3kernel(result).is_3kernel
+
+
+def _step_records(caplog, program):
+    """The dicts of the step debug records of ``three_kernelize(program)``."""
+    caplog.set_level(logging.DEBUG, logger="aspnf")
+    caplog.clear()
+    three_kernelize(program)
+    return [
+        r.args for r in caplog.records
+        if r.name == "aspnf" and r.msg.startswith("three_kernelize:")
+    ]
+
+
+def test_three_kernelize_logs_one_record_per_step(caplog, case_ii):
+    assert _step_records(caplog, parse_program(MERGE_TEXT)) == [
+        {
+            "kind": "long-rule",
+            "removed": 1,
+            "added": 11,
+            "fresh_atoms": tuple(f"__h0_{i}" for i in range(1, 8))
+            + ("__g0_0", "__g0_1", "__g0_2"),
+        }
+    ]
+    assert _step_records(caplog, case_ii) == [
+        {"kind": "or-bridge-odd", "removed": 4, "added": 1, "fresh_atoms": ()}
+    ]
 
 
 @pytest.mark.parametrize("n_atoms, n_rules, floor", [(4, 6, 14), (8, 12, 2)])
