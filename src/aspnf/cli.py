@@ -58,10 +58,14 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    # Sorted name tuples, which JSON writes as lists.
+    # Sorted name tuples: one JSON list, or one line, per answer set.
     collection = _answer_tuples(_read_program(args), args.max_atoms)
     if args.json:
-        print(json.dumps(collection))
+        # The json.dumps layout, written with joins (several times faster):
+        # parse_program admits no atom name with a character JSON escapes.
+        print("[" + ", ".join(
+            '["' + '", "'.join(t) + '"]' if t else "[]" for t in collection
+        ) + "]")
     else:
         for answer_set in collection:
             print(", ".join(answer_set))

@@ -71,6 +71,21 @@ def test_solve_json(pi6_file, capsys):
     assert capsys.readouterr().out == '[["b", "q"]]\n'
 
 
+@pytest.mark.parametrize(
+    "text, code, out",
+    [
+        ("p :- not p.", 1, "[]"),  # no answer set
+        ("a :- a.", 0, "[[]]"),  # the empty answer set
+        ("p(a,1) :- not q(b). q(b) :- not p(a,1).", 0, '[["p(a,1)"], ["q(b)"]]'),
+    ],
+)
+def test_solve_json_edge_cases(tmp_path, capsys, text, code, out):
+    path = tmp_path / "edge.lp"
+    path.write_text(text)
+    assert main(["solve", str(path), "--json"]) == code
+    assert capsys.readouterr().out == out + "\n"
+
+
 def test_solve_inconsistent_exit_code(tmp_path, capsys):
     path = tmp_path / "odd.lp"
     path.write_text("p :- not p.\n")

@@ -84,6 +84,10 @@ def _solve(tmp_path_factory, program, *flags):
 @given(programs())
 @example(RESERVED_LAST)
 @example(INTERLEAVED)
+# --json edge cases: no answer set, the empty answer set, argument lists.
+@example(parse_program("p :- not p."))
+@example(parse_program("a :- a."))
+@example(parse_program("p(a,1) :- not q(b). q(b) :- not p(a,1)."))
 def test_solve_prints_answers_in_the_oracle_order(tmp_path_factory, program):
     # The search may find answers in another order than the output order.
     expected = sorted(oracle_answer_sets(program), key=lambda s: (len(s), sorted(s)))

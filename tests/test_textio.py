@@ -1,8 +1,9 @@
+import json
 import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aspnf import (
     AspnfError,
@@ -18,6 +19,7 @@ from aspnf import (
     pos,
     render_program,
 )
+from aspnf.model import _FLAT_ATOM
 from aspnf.textio import split_atom_list
 from conftest import (
     PI5_TEXT,
@@ -275,6 +277,24 @@ def test_round_trip_random_programs():
 @given(programs())
 def test_render_then_parse_is_identity(program):
     assert parse_program(render_program(program), allow_reserved=True) == program
+
+
+# ``_FLAT_ATOM`` is the whole ATOM rule, unspaced: a NAME, with or without
+# the ``__`` prefix, and an optional argument list of ARGs.
+@given(st.from_regex(_FLAT_ATOM, fullmatch=True))
+@example("__c_0")
+@example("p(a,1)")
+@example("not")
+def test_atom_names_are_json_strings_without_escapes(atom):
+    # ``solve --json`` writes each name between quotes with no escaping, so
+    # the grammar must admit no '"', no '\\', no control and no non-ASCII
+    # character.
+    assert json.dumps(atom) == f'"{atom}"'
+    if atom.partition("(")[0] == "not":  # a keyword, not an atom
+        with pytest.raises(ParseError):
+            parse_program(f"{atom}.", allow_reserved=True)
+    else:
+        assert parse_program(f"{atom}.", allow_reserved=True).rules == (Rule(atom),)
 
 
 # Spellings of an atom x: itself, and ``p(x,1)`` with an argument list
