@@ -348,8 +348,11 @@ class StructuralIndex:
         component = self._component_of.get(head, ())
         if head == step or atom not in component:
             return False
-        paths = _paths(step, head, component, self._successors, via=atom)
-        return atom == step or any(paths)
+        successors = self._successors
+        # ``step -> atom -> head`` closes the circuit with no search.
+        if atom in successors.get(step, ()) and head in successors.get(atom, ()):
+            return True
+        return atom == step or any(_paths(step, head, component, successors, via=atom))
 
 
 def find_or_handles(program: Program, cycle: Cycle) -> tuple[Rule, ...]:

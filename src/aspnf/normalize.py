@@ -247,7 +247,7 @@ def _long_rule_steps(program: Program) -> tuple[StructuralIndex, list[TransformS
     report = check_kernel(program)
     if not report.is_kernel:
         raise KernelFormError(
-            "long_rule_simplify requires kernel form; violations: "
+            "the program is not in kernel form; violations: "
             + ", ".join(dict.fromkeys(v.condition for v in report.violations))
         )
     index = StructuralIndex(program)

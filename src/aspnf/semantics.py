@@ -90,18 +90,19 @@ the first sentence of inference 1 makes false. The tests cross-check
 the search, gamma and the well-founded model against independent
 implementations.
 
-Before searching, ``enumerate_answer_sets`` splits the program into the
-connected components of its atom-rule incidence graph, where an atom
-and a rule are linked when the atom is the rule's head or occurs in its
-body: the simplest case of the splitting-set theorem (Lifschitz and
-Turner, 1994). Components share no atom and each rule's reduct depends
-only on its own component's atoms, so ``gamma`` of a union is the union
-of each component's ``gamma``, and the answer sets of the program are
-the unions of one answer set from each component. Each component is
-compiled and searched on its own, in the order of its first rule; the
-first one with no answer set ends the search. Each answer is a tuple
-of atom names, sorted once, where the parts are joined; ``solve``
-prints those tuples.
+``enumerate_answer_sets`` compiles the program once and splits it into
+the connected components of its atom-rule incidence graph, where an
+atom and a rule are linked when the atom is the rule's head or occurs
+in its body: the simplest case of the splitting-set theorem (Lifschitz
+and Turner, 1994). Components share no atom and each rule's reduct
+depends only on its own component's atoms, so ``gamma`` of a union is
+the union of each component's ``gamma``, and the answer sets of the
+program are the unions of one answer set from each component. Each
+component is searched over the shared arrays, with the other atoms
+false, in the order of its first rule; the first one with no answer
+set ends the search. Each answer is a tuple of atom names in name
+order, sorted once where the parts are joined (a single component
+without ``__`` atoms finds them in that order); ``solve`` prints them.
 
 After each enumeration the ``aspnf`` logger gets one debug record whose
 arguments are a dict of atoms, rules, components, search nodes,
@@ -125,6 +126,8 @@ from .model import Program, Rule, is_reserved
 #: Default cap on the enumeration universe (overridable per call).
 DEFAULT_MAX_ATOMS = 24
 _TRUE, _FALSE = 1, 2  # atom values in the search; 0 is undecided
+_HOLDS = bytes.maketrans(bytes([_TRUE, _FALSE]), b"\1\0")  # 1 where true
+_OPEN = bytes.maketrans(bytes([0, _TRUE, _FALSE]), b"\1\1\0")  # 1 where not false
 
 _log = logging.getLogger("aspnf")
 
@@ -272,9 +275,10 @@ def _closure(program: Program) -> tuple[set[str], set[str], int]:
 
 
 class _BitProgram:
-    """A component's rules compiled by one pass, under one rule
-    numbering, over the given atoms (which must hold every atom of the
-    rules): one position per atom.
+    """A program's rules compiled by one pass, under one rule numbering,
+    over the given atoms (which must hold every atom of the rules): one
+    position per atom. The search runs over these arrays one connected
+    component at a time (``components``).
 
     Low positions are assigned to non-reserved atoms so that the search
     branches on them first: values of transformation-generated atoms
@@ -292,7 +296,8 @@ class _BitProgram:
     do not hold yet (-1 once blocked). A rule with an atom both positive
     and negative starts blocked and is in no ``rules_of``. ``initial``
     is what the rules decide alone: atoms without rules are false; rules
-    with no literal, or only ``not head``, fire inference 3."""
+    with no literal, or only ``not head``, fire inference 3. ``whole``
+    is the whole program as one component."""
 
     def __init__(self, rules: Iterable[Rule], atoms: Iterable[str]):
         self.atoms = tuple(sorted(atoms, key=lambda a: (is_reserved(a), a)))
@@ -332,24 +337,49 @@ class _BitProgram:
             if len(body) <= self.self_negating[r]:
                 self.initial.append((head, _TRUE))
         self.initial += [(a, _FALSE) for a in positions if not self.rules_of[a]]
+        self.live = [len(rules) for rules in self.rules_of]  # of the root state
         self.watch = None, list(zip(positive, negative)), list(zip(negative, positive))
-        self.negative_only = not any(self.positives)
+        self.whole = positions, range(len(self.heads)), any(self.positives)
 
-    def gamma(self, value: bytearray) -> bytearray:
+    def components(self) -> list[tuple[list[int], list[int], bool]]:
+        """Each connected component of the atom-rule incidence graph, in
+        the order of its first rule, by a union-find over ``heads`` and
+        ``bodies``: its atoms and rules by position, and whether one of
+        its rules has a positive body literal."""
+        parent = list(range(len(self.atoms)))
+
+        def find(atom: int) -> int:
+            while parent[atom] != atom:
+                parent[atom] = atom = parent[parent[atom]]
+            return atom
+
+        for head, body in zip(self.heads, self.bodies):
+            root = find(head)
+            for atom, _ in body:
+                parent[find(atom)] = root
+        components: dict[int, tuple[list[int], list[int]]] = {}
+        for r, head in enumerate(self.heads):
+            components.setdefault(find(head), ([], []))[1].append(r)
+        for atom in range(len(parent)):
+            components[find(atom)][0].append(atom)
+        positives = self.positives
+        return [(a, r, any(positives[i] for i in r)) for a, r in components.values()]
+
+    def gamma(self, value: bytearray, component: tuple | None = None) -> bytearray:
         """The least model of the reduct by the atoms that are true in
-        ``value``, one byte per atom (1 when derived). A rule with a true
+        ``value``, one byte per atom (1 when derived), from the rules of
+        ``component`` (``whole`` by default). A rule with a true
         negative body atom is inactive; every other rule counts its
         positive body atoms not derived yet, and derives its head when
         the count reaches 0."""
         heads, occurrences = self.heads, self.watch[_TRUE]
         need = self.positives.copy()
-        for truth, (_, negatives) in zip(value, occurrences):
-            if truth == _TRUE:
-                for r in negatives:
-                    need[r] = -1  # inactive: never counts down to 0
+        for _, negatives in compress(occurrences, value.translate(_HOLDS)):
+            for r in negatives:
+                need[r] = -1  # inactive: never counts down to 0
         derived = bytearray(len(value))
         # The queue grows while it is read; each rule adds its head once.
-        queue = [head for head, n in zip(heads, need) if not n]
+        queue = [heads[r] for r in (component or self.whole)[1] if not need[r]]
         for atom in queue:
             if not derived[atom]:
                 derived[atom] = 1
@@ -359,16 +389,21 @@ class _BitProgram:
                         queue.append(heads[r])
         return derived
 
-    def root(self) -> tuple:
-        """The search state of the full interval, before ``initial``."""
-        live = [len(rules) for rules in self.rules_of]
-        return bytearray(len(live)), live, self.unmet.copy()
+    def root(self, component: tuple | None = None) -> tuple:
+        """The search state of the full interval of ``component``'s atoms
+        (``whole`` by default), every other atom false, before ``initial``."""
+        value = bytearray([_FALSE]) * len(self.atoms)
+        for atom in (component or self.whole)[0]:
+            value[atom] = 0
+        return value, self.live.copy(), self.unmet.copy()
 
-    def propagate(self, state: tuple, decided: Iterable[tuple[int, int]]) -> bool:
+    def propagate(self, state: tuple, decided: Iterable, component=None) -> bool:
         """Decide each ``(atom, value)`` of ``decided`` in ``state``, then
-        alternate the counter fixpoint with the unfounded bound (skipped
-        without positive body literals) until neither moves. False on a
-        conflict, which leaves ``state`` half updated."""
+        alternate the counter fixpoint with the unfounded bound over
+        ``component``, one of ``components`` (``whole`` by default),
+        until neither moves; the bound is skipped when no rule of the
+        component has a positive body literal. False on a conflict,
+        which leaves ``state`` half updated."""
         value, live, unmet = state
         heads, bodies, rules_of = self.heads, self.bodies, self.rules_of
         self_negating, watch = self.self_negating, self.watch
@@ -439,72 +474,50 @@ class _BitProgram:
                     for r in rules_of[atom]:
                         if not unmet[r] or unmet[r] == 1 and not refute(r):
                             return False
-            if self.negative_only:
+            if not (component or self.whole)[2]:
                 return True
             # The unfounded bound: what gamma(lower) does not derive is false.
-            derived = self.gamma(value)
-            queue = [
-                a for a, truth in enumerate(value) if truth != _FALSE and not derived[a]
-            ]
-            if not queue:
+            # ``gaps`` has one byte per atom, 1 where it is neither.
+            derived = int.from_bytes(self.gamma(value, component), "little")
+            gaps = int.from_bytes(value.translate(_OPEN), "little") & ~derived
+            if not gaps:
                 return True
+            gaps = gaps.to_bytes(len(value), "little")
+            queue = list(compress(range(len(value)), gaps))
             for atom in queue:
                 if value[atom]:
                     return False
                 value[atom] = _FALSE
 
 
-def _search(bp: _BitProgram) -> tuple[list[tuple[str, ...]], int, int]:
-    """Bound-and-branch over intervals of the subset lattice: the answer
-    sets as name tuples in ``bp.atoms`` order, sorted once where the
-    component parts are joined, and the numbers of search nodes and of
+def _search(bp: _BitProgram, component: tuple) -> tuple[list[tuple], int, int]:
+    """Bound-and-branch over intervals of the subset lattice of one of
+    ``bp.components()``, whose root starts every other atom false, so
+    that none is ever queued: the component's answer sets as name
+    tuples in ``bp.atoms`` order, and the numbers of search nodes and of
     conflicts (nodes that hold no answer set). The true child, popped
     first, propagates a copy of its parent's state, and the false child
     the state itself. A node whose propagation decides every atom is an
     answer set (module docstring)."""
     found: list[tuple[str, ...]] = []
     nodes = conflicts = 0
-    pending = [(bp.root(), bp.initial)]
+    state = bp.root(component)
+    pending = [(state, [(a, truth) for a, truth in bp.initial if not state[0][a]])]
     while pending:
         nodes += 1
         state, decided = pending.pop()
-        if not bp.propagate(state, decided):
+        if not bp.propagate(state, decided, component):
             conflicts += 1
             continue
         value, live, unmet = state
         atom = value.find(0)
         if atom < 0:
-            found.append(tuple(compress(bp.atoms, map(_TRUE.__eq__, value))))
+            found.append(tuple(compress(bp.atoms, value.translate(_HOLDS))))
             continue
         pending.append((state, ((atom, _FALSE),)))
         copy = bytearray(value), live.copy(), unmet.copy()
         pending.append((copy, ((atom, _TRUE),)))
     return found, nodes, conflicts
-
-
-def _components(program: Program) -> list[tuple[list[Rule], list[str]]]:
-    """The rules and atoms of each connected component of the
-    atom-rule incidence graph, in the order of each component's first
-    rule, with rules in program order."""
-    parent = {atom: atom for atom in program.atoms}
-
-    def find(atom: str) -> str:
-        while parent[atom] != atom:
-            parent[atom] = atom = parent[parent[atom]]
-        return atom
-
-    for rule in program.rules:
-        root = find(rule.head)
-        for lit in rule.body:
-            other = find(lit.atom)
-            if other != root:
-                parent[other] = root
-    components: dict[str, tuple[list[Rule], list[str]]] = {}
-    for rule in program.rules:
-        components.setdefault(find(rule.head), ([], []))[0].append(rule)
-    for atom in program.atoms:
-        components[find(atom)][1].append(atom)
-    return list(components.values())
 
 
 def enumerate_answer_sets(
@@ -529,15 +542,19 @@ def _answer_tuples(program: Program, max_atoms: int | None) -> list[tuple[str, .
         raise UniverseTooLargeError(
             f"program has {size} atoms, enumeration cap is {cap}"
         )
-    components = _components(program)
+    bp = _BitProgram(program.rules, program.atoms)
+    components = bp.components()
+    # One component's answers are in name order unless an atom is reserved.
+    ordered = len(components) == 1 and not is_reserved(bp.atoms[-1])
     answer_sets: list[tuple[str, ...]] = [()]
     nodes = conflicts = 0
-    for rules, atoms in components:
-        bp = _BitProgram(rules, atoms)
-        found, component_nodes, component_conflicts = _search(bp)
+    for component in components:
+        found, component_nodes, component_conflicts = _search(bp, component)
         nodes += component_nodes
         conflicts += component_conflicts
-        answer_sets = [tuple(sorted(s + part)) for s in answer_sets for part in found]
+        if not ordered:
+            found = [tuple(sorted(s + part)) for s in answer_sets for part in found]
+        answer_sets = found
         if not answer_sets:
             break
     if _log.isEnabledFor(logging.DEBUG):

@@ -305,6 +305,25 @@ def test_3kernelize_trace_to_a_full_device_prints_nothing(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text, violations",
+    [
+        ("a.", "wfs-irreducible, negative-bodies-only, every-atom-in-some-body"),
+        (":- a.", "wfs-irreducible, negative-bodies-only"),
+    ],
+)
+def test_3kernelize_of_a_non_kernel_program(text, violations, tmp_path, capsys):
+    # The error names the program's violations, not an internal function.
+    source = tmp_path / "p.lp"
+    source.write_text(text + "\n")
+    assert main(["3kernelize", str(source)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the program is not in kernel form; violations: {violations}\n"
+    )
+
+
 def test_3kernelize_output_reparses(pi5_file, tmp_path, capsys):
     assert main(["3kernelize", pi5_file]) == 0
     out = capsys.readouterr().out

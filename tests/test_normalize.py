@@ -130,7 +130,7 @@ def test_kernel_form_error_names_each_condition_once():
     with pytest.raises(KernelFormError) as caught:
         long_rule_simplify(parse_program(chain + "p. q :- p."))
     assert str(caught.value) == (
-        "long_rule_simplify requires kernel form; violations: "
+        "the program is not in kernel form; violations: "
         "wfs-irreducible, negative-bodies-only, every-atom-in-some-body"
     )
 

@@ -569,6 +569,27 @@ def test_search_record_of_a_hamiltonian_encoding(caplog):
     assert len(cycles) == 6
 
 
+def test_search_record_of_two_disjoint_hamiltonian_encodings(caplog):
+    # Each part is searched inside the one compile as K4 is on its own:
+    # 209 nodes and 99 conflicts each, and 6 * 6 answers. The prefix
+    # keeps the order of the second part's atoms, constraint atoms too.
+    k4 = _hamiltonian(4)
+    apart = {a: "__b" + a[2:] if a.startswith("__") else "b" + a for a in k4.atoms}
+    program = Program(k4.rules + rename_atoms(k4, apart).rules)
+    stats = _enumeration_stats(caplog, program)
+    assert (stats["atoms"], stats["rules"], stats["components"]) == (112, 128, 2)
+    assert stats["answers"] == 36
+    assert (stats["nodes"], stats["conflicts"]) == (418, 198), stats
+
+
+def _answers_and_record(program):
+    """The answer sets and the enumeration debug record's dict, read
+    through a mock logger: a hypothesis test cannot take ``caplog``."""
+    with mock.patch.object(semantics, "_log") as log:
+        answers = list(enumerate_answer_sets(program))
+    return answers, log.debug.call_args.args[1]
+
+
 EVEN_LOOP = Program((Rule("x0", (neg("x1"),)), Rule("x1", (neg("x0"),))))
 ODD_LOOP = Program((Rule("x0", (neg("x0"),)),))
 
@@ -578,14 +599,17 @@ ODD_LOOP = Program((Rule("x0", (neg("x0"),)),))
 @example(ODD_LOOP, EVEN_LOOP)
 def test_disjoint_union_is_the_product_of_its_parts(first, second):
     # The second part's atoms are renamed from x* to y*, so the parts
-    # share no atom.
+    # share no atom. The union's search record adds up the parts' nodes
+    # and conflicts, or has only the first part's when the first has no
+    # answer set.
     second = rename_atoms(second, {a: "y" + a[1:] for a in second.atoms})
     union = Program(first.rules + second.rules)
-    product = {
-        a | b
-        for a in enumerate_answer_sets(first)
-        for b in enumerate_answer_sets(second)
-    }
-    answers = list(enumerate_answer_sets(union))
+    (first_answers, a), (second_answers, b) = map(_answers_and_record, (first, second))
+    product = {x | y for x in first_answers for y in second_answers}
+    answers, stats = _answers_and_record(union)
     assert set(answers) == product and len(answers) == len(product)
     assert answers == oracle_answer_sets(union)
+    parts = [a, b] if first_answers else [a]
+    assert stats["components"] == a["components"] + b["components"]
+    for key in ("nodes", "conflicts"):
+        assert stats[key] == sum(part[key] for part in parts), (key, stats, a, b)
